@@ -133,18 +133,13 @@ int print_report() {
             (r.base.iteration_period / Rational(gamma[2])).to_string(), "30");
 
     // Occupancy-bound regression check: the constrained engine moves its
-    // journaled max-tokens vector into the result instead of copying it, and
-    // the parallel engine reconstructs the same bounds from its per-batch
-    // journal — a re-run at engine-jobs 2 must reproduce them channel for
-    // channel, and the vector must cover every channel.
-    TaskPool::set_global_jobs(2);
-    ExecutionLimits parallel_limits;
-    parallel_limits.engine_jobs = 2;
+    // max-tokens vector into the result instead of copying it — an untraced
+    // re-run (the path every throughput check takes) must reproduce the
+    // bounds channel for channel, and the vector must cover every channel.
     const ConstrainedResult r2 = execute_constrained(
         bag.graph, gamma, make_constrained_spec(arch, bag, sched.schedules),
-        SchedulingMode::kStaticOrder, parallel_limits);
-    TaskPool::set_global_jobs(1);
-    compare("max-tokens bound (engine-jobs 2 vs serial)", occupancy(r2.base.max_tokens),
+        SchedulingMode::kStaticOrder, ExecutionLimits{});
+    compare("max-tokens bound (untraced vs traced)", occupancy(r2.base.max_tokens),
             occupancy(r.base.max_tokens));
     if (r.base.max_tokens.size() != bag.graph.num_channels() ||
         r.base.max_tokens != r2.base.max_tokens) {

@@ -7,19 +7,10 @@
 //      mixer, in ns/key over representative key sizes.
 //   2. Engine throughput: repeated self-timed and schedule/TDMA-constrained
 //      analyses of the media applications, in stored states per second.
-//   3. Intra-engine scaling: one long-transient exploration of a wide
-//      interference graph at --engine-jobs 1/2/4/8. Every level must produce
-//      a byte-identical result (the ExecutionLimits::engine_jobs determinism
-//      contract); stored-states/second per level goes to stderr and the JSON,
-//      and on a full (non-quick) run on >= 8 hardware threads the harness
-//      additionally asserts a >= 2x states/s speedup at engine-jobs 8 over
-//      the serial engine (SKIP elsewhere — the determinism assert always
-//      runs).
-//   4. Table-4-style allocation sweep at --jobs 1/2/8 with the cache off and
-//      on, plus combined (--jobs x --engine-jobs) legs: asserts that the
-//      deterministic report is byte-identical across all configurations and
-//      that the cache-on runs actually hit.
-//   5. Warm start: the sweep runs twice against a persistent cache store
+//   3. Table-4-style allocation sweep at --jobs 1/2/8 with the cache off and
+//      on: asserts that the deterministic report is byte-identical across all
+//      configurations and that the cache-on runs actually hit.
+//   4. Warm start: the sweep runs twice against a persistent cache store
 //      (docs/CACHE.md), asserting the run-2 hit rate strictly exceeds run-1
 //      (run 2 warm-starts from run 1's records) with byte-identical reports.
 //
@@ -152,15 +143,13 @@ HashBenchResult run_hash_bench(bool quick) {
 /// and the reference actor (smallest repetition count = the slowest cycle)
 /// samples lcm / max(p_i) distinct states — ~1000 stored states for periods
 /// {7, 11, 13, 17}, a real hot-path workload for the recurrence detector.
-/// `num_cycles` beyond 4 repeats the period pairs, widening the graph (more
-/// actors per time instant) without changing the transient length — the shape
-/// that gives the intra-engine phases real work to split.
-Graph make_interference_graph(int num_cycles = 4) {
+Graph make_interference_graph() {
   static const std::int64_t exec[][2] = {{3, 4}, {5, 6}, {6, 7}, {8, 9}};  // periods 7,11,13,17
+  constexpr int num_cycles = 4;
   Graph g;
   std::vector<ActorId> heads;
   for (int i = 0; i < num_cycles; ++i) {
-    const std::int64_t* e = exec[i % 4];
+    const std::int64_t* e = exec[i];
     const ActorId a = g.add_actor("a" + std::to_string(i), e[0]);
     const ActorId b = g.add_actor("b" + std::to_string(i), e[1]);
     g.add_channel(a, b, 1, 1, 0, "fwd" + std::to_string(i));
@@ -168,8 +157,8 @@ Graph make_interference_graph(int num_cycles = 4) {
     heads.push_back(a);
   }
   for (int i = 0; i + 1 < num_cycles; ++i) {
-    const std::int64_t p_src = exec[i % 4][0] + exec[i % 4][1];
-    const std::int64_t p_dst = exec[(i + 1) % 4][0] + exec[(i + 1) % 4][1];
+    const std::int64_t p_src = exec[i][0] + exec[i][1];
+    const std::int64_t p_dst = exec[i + 1][0] + exec[i + 1][1];
     g.add_channel(heads[static_cast<std::size_t>(i)],
                   heads[static_cast<std::size_t>(i) + 1], p_src, p_dst,
                   8 * (p_src + p_dst), "chain" + std::to_string(i));
@@ -223,99 +212,11 @@ EngineBenchResult run_engine_bench(bool quick) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 3: intra-engine scaling — byte-identical results at every
-// --engine-jobs level, states/s per level, and (on capable hardware) the
-// >= 2x speedup gate of the parallel engine.
-
-struct EngineScalingLevel {
-  unsigned engine_jobs = 1;
-  double seconds = 0;
-  double states_per_s = 0;
-};
-
-struct EngineScalingResult {
-  std::vector<EngineScalingLevel> levels;  // engine-jobs 1, 2, 4, 8
-  std::uint64_t states_per_pass = 0;
-  bool identical = false;        // every pass matched the serial fingerprint
-  double speedup_at_top = 0;     // top level states/s over the serial level
-  bool speedup_checked = false;  // gate armed: full run on >= 8-way hardware
-  bool speedup_ok = true;        // >= 2x when the gate is armed
-};
-
-/// Canonical rendering of everything a SelfTimedResult determines; two
-/// executions agree exactly when these strings agree.
-std::string fingerprint(const SelfTimedResult& r) {
-  std::ostringstream os;
-  os << static_cast<int>(r.status) << "|" << r.iteration_period.to_string() << "|"
-     << r.states_stored << "|" << r.cycle_start_time << "|" << r.cycle_end_time << "|"
-     << r.cycle_firings << "|";
-  for (const std::int64_t f : r.period_firings) os << f << ",";
-  os << "|";
-  for (const std::int64_t t : r.max_tokens) os << t << ",";
-  return os.str();
-}
-
-EngineScalingResult run_engine_scaling(bool quick) {
-  // Wide graph (8/32 coupled cycles), long transient: the workload the
-  // sharded visited set and parallel phase decomposition target.
-  const Graph g = make_interference_graph(quick ? 8 : 32);
-  const RepetitionVector gamma = *compute_repetition_vector(g);
-  const int passes = quick ? 2 : 8;
-
-  EngineScalingResult r;
-  std::string serial_fingerprint;
-  for (const unsigned level : {1u, 2u, 4u, 8u}) {
-    TaskPool::set_global_jobs(level);
-    ExecutionLimits limits;
-    limits.engine_jobs = level;
-    EngineScalingLevel row;
-    row.engine_jobs = level;
-    bool level_identical = true;
-    std::uint64_t states = 0;
-    const benchutil::Timer timer;
-    for (int p = 0; p < passes; ++p) {
-      const SelfTimedResult result = self_timed_throughput(g, gamma, limits);
-      states += result.states_stored;
-      if (level == 1 && p == 0) {
-        serial_fingerprint = fingerprint(result);
-      } else if (fingerprint(result) != serial_fingerprint) {
-        level_identical = false;
-      }
-    }
-    row.seconds = timer.seconds();
-    row.states_per_s = static_cast<double>(states) / row.seconds;
-    if (level == 1u) {
-      r.states_per_pass = states / static_cast<std::uint64_t>(passes);
-      r.identical = true;
-    }
-    r.identical = r.identical && level_identical;
-    r.levels.push_back(row);
-    std::cerr << "[engine-scaling] engine-jobs " << level << ": " << row.seconds
-              << " s, " << static_cast<long>(row.states_per_s) << " states/s"
-              << (level_identical ? "" : " (RESULT MISMATCH)") << "\n";
-  }
-  TaskPool::set_global_jobs(1);
-
-  const double serial = r.levels.front().states_per_s;
-  r.speedup_at_top = serial > 0 ? r.levels.back().states_per_s / serial : 0;
-  // The speedup gate only means something when the machine can actually run
-  // eight engine workers and the full-size workload amortizes the phase
-  // coordination; the determinism assert above is unconditional.
-  r.speedup_checked = !quick && TaskPool::hardware_jobs() >= 8;
-  if (r.speedup_checked) r.speedup_ok = r.speedup_at_top >= 2.0;
-  std::cerr << "[engine-scaling] speedup at engine-jobs 8: " << r.speedup_at_top
-            << "x (gate " << (r.speedup_checked ? (r.speedup_ok ? "PASS" : "FAIL") : "off")
-            << ")\n";
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Section 4: Table-4-style sweep, cache off/on x jobs 1/2/8 x engine-jobs.
+// Section 3: Table-4-style sweep, cache off/on x jobs 1/2/8.
 
 struct SweepConfig {
   unsigned jobs;
   bool cache;
-  unsigned engine_jobs = 1;
 };
 
 struct SweepOutcome {
@@ -338,9 +239,7 @@ SweepOutcome run_sweep_once(const std::vector<std::vector<ApplicationGraph>>& se
       {1, 0, 0}, {2, 0, 0}, {0, 1, 2}, {0, 2, 4}, {1, 1, 1}};
   SweepOutcome out;
   out.config = config;
-  // Engine helpers borrow workers from the same global pool the allocation
-  // fan-out uses, so the pool must be at least as wide as either level.
-  TaskPool::set_global_jobs(std::max(config.jobs, config.engine_jobs));
+  TaskPool::set_global_jobs(config.jobs);
   // Non-empty cache_dir backs the cache with a persistent store (opened
   // here, flushed and released when `cache` goes out of scope).
   const auto cache = config.cache ? make_persistent_throughput_cache(cache_dir) : nullptr;
@@ -363,7 +262,6 @@ SweepOutcome run_sweep_once(const std::vector<std::vector<ApplicationGraph>>& se
         StrategyOptions options;
         options.weights = kCostFunctions[run.fn];
         options.cache = cache;
-        options.slices.limits.engine_jobs = config.engine_jobs;
         return allocate_sequence(sequences[run.seq], arch, options);
       },
       ParallelOptions{});
@@ -381,8 +279,7 @@ SweepOutcome run_sweep_once(const std::vector<std::vector<ApplicationGraph>>& se
   }
   out.report = report.str();
   if (cache) out.stats = cache->stats();
-  std::cerr << "[sweep] jobs " << config.jobs << ", engine-jobs " << config.engine_jobs
-            << ", cache " << (config.cache ? "on " : "off") << ": " << out.seconds << " s"
+  std::cerr << "[sweep] jobs " << config.jobs << ", cache " << (config.cache ? "on " : "off") << ": " << out.seconds << " s"
             << (config.cache ? ", " + out.stats.summary() : "") << "\n";
   return out;
 }
@@ -410,20 +307,11 @@ std::vector<SweepOutcome> run_sweep(bool quick, bool with_cache,
       outcomes.push_back(run_sweep_once(sequences, arch, SweepConfig{jobs, true}, cache_dir));
     }
   }
-  // Combined levels: engine workers racing the allocation fan-out for the same
-  // pool, and the engine saturating the pool alone — the report must stay
-  // byte-identical either way, and the cache leg proves parallel-engine
-  // results do not poison entries consumed by later serial-engine runs.
-  outcomes.push_back(run_sweep_once(sequences, arch, SweepConfig{2u, false, 4u}));
-  outcomes.push_back(run_sweep_once(sequences, arch, SweepConfig{1u, false, 8u}));
-  if (with_cache) {
-    outcomes.push_back(run_sweep_once(sequences, arch, SweepConfig{2u, true, 4u}, cache_dir));
-  }
   return outcomes;
 }
 
 // ---------------------------------------------------------------------------
-// Section 5: warm start across persistent-store generations.
+// Section 4: warm start across persistent-store generations.
 
 struct WarmStartResult {
   SweepOutcome cold;  // run 1: fresh store
@@ -460,7 +348,7 @@ WarmStartResult run_warm_start(bool quick, const std::string& dir) {
 // ---------------------------------------------------------------------------
 
 void write_json(const std::string& path, bool quick, const HashBenchResult& hash,
-                const EngineBenchResult& engine, const EngineScalingResult& scaling,
+                const EngineBenchResult& engine,
                 const std::vector<SweepOutcome>& sweep, bool determinism_ok,
                 bool cache_hit_ok, const WarmStartResult* warm) {
   std::ofstream os(path);
@@ -475,23 +363,10 @@ void write_json(const std::string& path, bool quick, const HashBenchResult& hash
   os << "  \"engine\": {\"self_timed_states_per_s\": " << engine.self_timed_states_per_s
      << ", \"constrained_states_per_s\": " << engine.constrained_states_per_s
      << ", \"states_per_pass\": " << engine.states_per_pass << "},\n";
-  os << "  \"engine_scaling\": {\"states_per_pass\": " << scaling.states_per_pass
-     << ", \"identical\": " << (scaling.identical ? "true" : "false")
-     << ", \"speedup_at_top\": " << scaling.speedup_at_top << ", \"speedup_gate\": \""
-     << (scaling.speedup_checked ? (scaling.speedup_ok ? "pass" : "fail") : "skip")
-     << "\", \"levels\": [\n";
-  for (std::size_t i = 0; i < scaling.levels.size(); ++i) {
-    const EngineScalingLevel& level = scaling.levels[i];
-    os << "    {\"engine_jobs\": " << level.engine_jobs << ", \"seconds\": "
-       << level.seconds << ", \"states_per_s\": " << level.states_per_s << "}"
-       << (i + 1 < scaling.levels.size() ? "," : "") << "\n";
-  }
-  os << "  ]},\n";
   os << "  \"sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const SweepOutcome& o = sweep[i];
-    os << "    {\"jobs\": " << o.config.jobs << ", \"engine_jobs\": " << o.config.engine_jobs
-       << ", \"cache\": "
+    os << "    {\"jobs\": " << o.config.jobs << ", \"cache\": "
        << (o.config.cache ? "true" : "false") << ", \"seconds\": " << o.seconds
        << ", \"hits\": " << o.stats.hits << ", \"misses\": " << o.stats.misses
        << ", \"inserts\": " << o.stats.inserts << ", \"evictions\": " << o.stats.evictions
@@ -527,7 +402,6 @@ int main(int argc, char** argv) {
 
   const HashBenchResult hash = run_hash_bench(quick);
   const EngineBenchResult engine = run_engine_bench(quick);
-  const EngineScalingResult scaling = run_engine_scaling(quick);
   const std::vector<SweepOutcome> sweep = run_sweep(quick, with_cache, cache_dir);
   // The warm-start store lives in its own cleared-first location so the
   // cold-then-warm comparison stays deterministic even under a shared
@@ -550,14 +424,7 @@ int main(int argc, char** argv) {
   for (const SweepOutcome& o : sweep) {
     if (o.config.cache && o.stats.hits == 0) cache_hit_ok = false;
   }
-  std::cout << "engine scaling: byte-identical results across engine-jobs {1,2,4,8}: "
-            << (scaling.identical ? "PASS" : "FAIL") << "\n";
-  std::cout << "engine scaling: >= 2x states/s at engine-jobs 8: "
-            << (scaling.speedup_checked ? (scaling.speedup_ok ? "PASS" : "FAIL")
-                                        : "SKIP (full run on >= 8 hardware threads)")
-            << "\n";
-  std::cout << "determinism across " << sweep.size()
-            << " (jobs, engine-jobs, cache) configurations: "
+  std::cout << "determinism across " << sweep.size() << " (jobs, cache) configurations: "
             << (determinism_ok ? "PASS" : "FAIL") << "\n";
   if (with_cache) {
     std::cout << "cache hits in every cache-on configuration: "
@@ -570,11 +437,8 @@ int main(int argc, char** argv) {
               << (warm_ok ? "PASS" : "FAIL") << "\n";
   }
 
-  write_json(out_path, quick, hash, engine, scaling, sweep, determinism_ok, cache_hit_ok,
+  write_json(out_path, quick, hash, engine, sweep, determinism_ok, cache_hit_ok,
              warm ? &*warm : nullptr);
   std::cerr << "[out] wrote " << out_path << "\n";
-  return determinism_ok && cache_hit_ok && warm_ok && scaling.identical &&
-                 scaling.speedup_ok
-             ? 0
-             : 1;
+  return determinism_ok && cache_hit_ok && warm_ok ? 0 : 1;
 }

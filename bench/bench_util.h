@@ -17,6 +17,7 @@
 #include "src/runtime/parallel.h"
 #include "src/runtime/task_pool.h"
 #include "src/support/cli.h"
+#include "src/support/env.h"
 
 namespace sdfmap::benchutil {
 
@@ -84,9 +85,7 @@ void time_section(const std::string& label, Fn&& fn) {
 /// Applies the --jobs/-j flag (default: all hardware threads) to the global
 /// runtime pool and announces the level on stderr.
 inline void configure_jobs(const CliArgs& args) {
-  const int jobs =
-      args.get_int("jobs", static_cast<int>(TaskPool::hardware_jobs()));
-  TaskPool::set_global_jobs(jobs > 0 ? static_cast<unsigned>(jobs) : 1);
+  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
   std::cerr << "[jobs] running with --jobs " << TaskPool::global_jobs() << "\n";
 }
 

@@ -7,9 +7,6 @@
 // Usage:
 //   analyze_cli <graph.sdf> [--sink=<actor>] [--storage-period=<num[/den]>]
 //               [--deadline-ms=<n>] [--dot=<file>] [--jobs=<n> | -j <n>]
-//               [--engine-jobs=<n>]      # workers per state-space execution
-//                                        # (SDFMAP_ENGINE_JOBS; default 1;
-//                                        #  byte-identical at every level)
 //               [--lint] [--lint-level=info|warning|error]
 //               [--cache | --no-cache]   # throughput-check memoization
 //                                        # (default on; SDFMAP_CACHE=0|1;
@@ -54,7 +51,6 @@
 #include <sstream>
 
 #include "src/analysis/cache.h"
-#include "src/analysis/engine_parallel.h"
 #include "src/analysis/latency.h"
 #include "src/analysis/persistent_cache.h"
 #include "src/analysis/storage.h"
@@ -73,6 +69,7 @@
 #include "src/runtime/task_pool.h"
 #include "src/sdf/repetition_vector.h"
 #include "src/support/cli.h"
+#include "src/support/env.h"
 #include "src/support/signals.h"
 #include "src/support/strings.h"
 
@@ -185,8 +182,6 @@ int run_allocate_subcommand(const CliArgs& args) {
   }
   options.solver_max_nodes = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, args.get_int("solver-max-nodes", 0)));
-  options.slices.limits.engine_jobs = static_cast<unsigned>(std::max<std::int64_t>(
-      1, args.get_int("engine-jobs", engine_jobs_from_env(1))));
   const std::int64_t deadline_ms = args.get_int("deadline-ms", 0);
   if (deadline_ms > 0) {
     options.slices.limits.budget =
@@ -207,11 +202,6 @@ int run_allocate_subcommand(const CliArgs& args) {
         make_persistent_throughput_cache(args.get("cache-dir", cache_dir_from_env()));
   }
   const StrategyResult r = allocate_resources(app, arch, options);
-  if (options.slices.limits.engine_jobs > 1 && !r.diagnostics.engine.empty()) {
-    // stderr-only, like the cache stats: helper participation is
-    // scheduling-dependent while stdout stays byte-identical.
-    std::cerr << "engine parallelism: " << r.diagnostics.engine.summary() << "\n";
-  }
   if (options.cache) {
     options.cache->flush_persistent();
     std::cerr << "throughput cache: " << options.cache->stats().summary() << "\n";
@@ -221,15 +211,9 @@ int run_allocate_subcommand(const CliArgs& args) {
 }
 
 int run(const CliArgs& args) {
-  // --jobs drives the cross-check sweeps, --engine-jobs each state-space
-  // execution (SDFMAP_ENGINE_JOBS; docs/PERF.md "Intra-engine parallelism").
-  // One shared TaskPool serves both, sized for the larger level; every output
-  // is byte-identical at every combination.
-  const unsigned jobs = static_cast<unsigned>(std::max<std::int64_t>(
-      1, args.get_int("jobs", TaskPool::hardware_jobs())));
-  const unsigned engine_jobs = static_cast<unsigned>(std::max<std::int64_t>(
-      1, args.get_int("engine-jobs", engine_jobs_from_env(1))));
-  TaskPool::set_global_jobs(std::max(jobs, engine_jobs));
+  // --jobs drives the cross-check sweeps; every output is byte-identical at
+  // every level.
+  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
   if (!args.positional().empty() && args.positional().front() == "lint") {
     return run_lint_subcommand(args);
   }
@@ -275,9 +259,6 @@ int run(const CliArgs& args) {
   }
 
   ExecutionLimits limits;
-  EngineStatsSink engine_stats;
-  limits.engine_jobs = engine_jobs;
-  if (engine_jobs > 1) limits.engine_stats = &engine_stats;
   const std::int64_t deadline_ms = args.get_int("deadline-ms", 0);
   if (deadline_ms > 0) {
     limits.budget = AnalysisBudget::expiring_in(std::chrono::milliseconds(deadline_ms));
@@ -357,9 +338,6 @@ int run(const CliArgs& args) {
     std::ofstream dot(dot_path);
     write_dot(dot, g, "sdfg");
     std::cout << "wrote " << dot_path << "\n";
-  }
-  if (engine_jobs > 1 && !engine_stats.snapshot().empty()) {
-    std::cerr << "engine parallelism: " << engine_stats.snapshot().summary() << "\n";
   }
   return kCliSuccess;
 }

@@ -20,13 +20,13 @@
 #include "src/runtime/parallel.h"
 #include "src/runtime/task_pool.h"
 #include "src/support/cli.h"
+#include "src/support/env.h"
 
 using namespace sdfmap;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  TaskPool::set_global_jobs(static_cast<unsigned>(std::max<std::int64_t>(
-      1, args.get_int("jobs", TaskPool::hardware_jobs()))));
+  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
   const auto set = static_cast<BenchmarkSet>(args.get_int("set", 4));
   const std::size_t count = static_cast<std::size_t>(args.get_int("apps", 20));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

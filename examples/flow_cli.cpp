@@ -11,10 +11,6 @@
 //            [--deadline-ms=<n>] [--per-check-ms=<n>] [--no-degrade]
 //            [--dot=<prefix>] [--utilization] [--gantt[=<width>]]
 //            [--vcd=<file>] [--jobs=<n> | -j <n>]
-//            [--engine-jobs=<n>]      # workers per state-space execution
-//                                     # (SDFMAP_ENGINE_JOBS; default 1 =
-//                                     # serial engine; results byte-identical
-//                                     # at every level — docs/PERF.md)
 //            [--cache | --no-cache]   # throughput-check memoization (default
 //                                     # on; SDFMAP_CACHE=0|1; the allocation
 //                                     # is identical either way — cache stats
@@ -65,6 +61,7 @@
 #include "src/runtime/task_pool.h"
 #include "src/sdf/repetition_vector.h"
 #include "src/support/cli.h"
+#include "src/support/env.h"
 #include "src/support/signals.h"
 
 using namespace sdfmap;
@@ -88,16 +85,9 @@ int dump_examples(const std::string& dir) {
 }
 
 int run(const CliArgs& args) {
-  // Parallelism of the library's internal sweeps (buffer sizing candidates)
-  // and of each state-space execution (--engine-jobs, SDFMAP_ENGINE_JOBS;
-  // docs/PERF.md "Intra-engine parallelism"). Both share one TaskPool sized
-  // for the larger level; the allocation and report are byte-identical for
-  // every combination.
-  const unsigned jobs = static_cast<unsigned>(std::max<std::int64_t>(
-      1, args.get_int("jobs", TaskPool::hardware_jobs())));
-  const unsigned engine_jobs = static_cast<unsigned>(std::max<std::int64_t>(
-      1, args.get_int("engine-jobs", engine_jobs_from_env(1))));
-  TaskPool::set_global_jobs(std::max(jobs, engine_jobs));
+  // Parallelism of the library's internal sweeps (buffer sizing candidates);
+  // the allocation and report are byte-identical for every level.
+  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
   if (args.has("dump-examples")) {
     return dump_examples(args.get("dir", "."));
   }
@@ -164,7 +154,6 @@ int run(const CliArgs& args) {
   }
   options.solver_max_nodes =
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, args.get_int("solver-max-nodes", 0)));
-  options.slices.limits.engine_jobs = engine_jobs;
   const std::int64_t deadline_ms = args.get_int("deadline-ms", 0);
   if (deadline_ms > 0) {
     options.slices.limits.budget =
@@ -189,11 +178,6 @@ int run(const CliArgs& args) {
         make_persistent_throughput_cache(args.get("cache-dir", cache_dir_from_env()));
   }
   const StrategyResult r = allocate_resources(app, arch, options);
-  if (engine_jobs > 1 && !r.diagnostics.engine.empty()) {
-    // Helper participation depends on pool scheduling, so this line is
-    // stderr-only — stdout stays byte-identical at every --engine-jobs level.
-    std::cerr << "engine parallelism: " << r.diagnostics.engine.summary() << "\n";
-  }
   if (options.cache) {
     options.cache->flush_persistent();
     std::cerr << "throughput cache: " << options.cache->stats().summary() << "\n";

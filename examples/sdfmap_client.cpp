@@ -8,12 +8,7 @@
 //                            [--c1=1 --c2=1 --c3=1] [--deadline-ms=<n>]
 //                            [--per-check-ms=<n>] [--no-degrade]
 //                            [--backend=heuristic|exact|exact_then_heuristic]
-//                            [--engine-jobs=<n>]  # intra-engine workers on the
-//                                                 # server (SDFMAP_ENGINE_JOBS;
-//                                                 # capped at the server pool,
-//                                                 # report byte-identical)
 //   sdfmap_client throughput --socket=<path> <graph.sdf> [--deadline-ms=<n>]
-//                            [--engine-jobs=<n>]
 //   sdfmap_client lint       --socket=<path> <file>      # .sdf/.sdfapp/.sdfarch
 //   sdfmap_client metrics    --socket=<path>
 //   sdfmap_client badframe   --socket=<path> --kind=<k>  # protocol fuzzing:
@@ -44,7 +39,6 @@
 #include <regex>
 #include <sstream>
 
-#include "src/analysis/state_space.h"
 #include "src/io/report.h"
 #include "src/lint/driver.h"
 #include "src/mapping/strategy.h"
@@ -182,11 +176,6 @@ int run(const CliArgs& args) {
     request.c3 = args.get_double("c3", 1);
     request.deadline_ms = args.get_int("deadline-ms", 0);
     request.per_check_ms = args.get_int("per-check-ms", 0);
-    // --engine-jobs asks the server for intra-engine parallelism; the server
-    // caps it at its own pool width, and the report is byte-identical either
-    // way (the tag is omitted at 1, so old servers need no special casing).
-    request.engine_jobs = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
-        args.get_int("engine-jobs", engine_jobs_from_env(1)), 1, 1024));
     request.degrade_to_conservative = !args.has("no-degrade");
     const std::string backend = args.get("backend", "heuristic");
     if (const auto parsed = backend_from_name(backend)) {
@@ -228,8 +217,6 @@ int run(const CliArgs& args) {
       return kCliUsageError;
     }
     request.deadline_ms = args.get_int("deadline-ms", 0);
-    request.engine_jobs = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
-        args.get_int("engine-jobs", engine_jobs_from_env(1)), 1, 1024));
     return finish(client.throughput(request));
   }
 

@@ -34,6 +34,7 @@
 #include "src/runtime/task_pool.h"
 #include "src/service/server.h"
 #include "src/support/cli.h"
+#include "src/support/env.h"
 #include "src/support/signals.h"
 
 using namespace sdfmap;
@@ -50,8 +51,7 @@ int main(int argc, char** argv) {
                 << "exit codes: 0 clean drain, 1 forced drain, 2 usage/bind failure\n";
       return 2;
     }
-    TaskPool::set_global_jobs(static_cast<unsigned>(std::max<std::int64_t>(
-        1, args.get_int("jobs", TaskPool::hardware_jobs()))));
+    TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
 
     ServerOptions options;
     options.socket_path = socket_path;

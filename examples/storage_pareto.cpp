@@ -21,6 +21,7 @@
 #include "src/sdf/builder.h"
 #include "src/sdf/repetition_vector.h"
 #include "src/support/cli.h"
+#include "src/support/env.h"
 
 using namespace sdfmap;
 
@@ -47,8 +48,7 @@ Graph demo_graph(bool simple) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  TaskPool::set_global_jobs(static_cast<unsigned>(std::max<std::int64_t>(
-      1, args.get_int("jobs", TaskPool::hardware_jobs()))));
+  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
   const std::int64_t points = args.get_int("points", 8);
   const Graph g = demo_graph(args.has("demo-simple"));
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
 #include <stdexcept>
 
-#include "src/analysis/engine_parallel.h"
 #include "src/analysis/remaining_multiset.h"
 #include "src/analysis/state_hash.h"
-#include "src/runtime/task_pool.h"
 
 namespace sdfmap {
 
@@ -67,7 +64,6 @@ class ConstrainedExecutor {
   }
 
   ConstrainedResult run();
-  ConstrainedResult run_parallel();
 
  private:
   struct TileState {
@@ -126,25 +122,6 @@ class ConstrainedExecutor {
         throw AnalysisError(AnalysisErrorKind::kTokenDivergence,
                             "execute_constrained: unbounded token accumulation on '" +
                                 g_.channel(cid).name + "'");
-      }
-    }
-  }
-
-  /// Parallel-phase variant of produce_outputs: occupancy-maximum increases
-  /// go into `journal` (for speculative rollback) and the first over-limit
-  /// channel is recorded in `violation` instead of thrown — chunks must not
-  /// throw, so the coordinator can raise the serial-order-first violation
-  /// after the merge.
-  void produce_outputs_journaled(std::uint32_t a, std::vector<MaxTokenEntry>& journal,
-                                 std::int32_t& violation) {
-    for (const ChannelId cid : g_.actor(ActorId{a}).outputs) {
-      tokens_[cid.value] += g_.channel(cid).production_rate;
-      if (tokens_[cid.value] > max_tokens_[cid.value]) {
-        max_tokens_[cid.value] = tokens_[cid.value];
-        journal.push_back({cid.value, tokens_[cid.value]});
-      }
-      if (tokens_[cid.value] > limits_.max_tokens_per_channel && violation < 0) {
-        violation = static_cast<std::int32_t>(cid.value);
       }
     }
   }
@@ -226,8 +203,6 @@ class ConstrainedExecutor {
 ConstrainedResult ConstrainedExecutor::run() {
   const std::size_t num_actors = g_.num_actors();
   init_state();
-  EngineStatsScope engine_stats(limits_.engine_stats);
-  engine_stats.stats.serial_executions = 1;
 
   struct Snapshot {
     std::int64_t time = 0;
@@ -455,304 +430,13 @@ ConstrainedResult ConstrainedExecutor::run() {
   }
 }
 
-/// Parallel engine for the static-order/TDMA-constrained semantics: the
-/// self-timed (unscheduled) actors run as parallel END/START phases exactly
-/// like self_timed_parallel in state_space.cpp (every channel has one
-/// producer and one consumer, so per-actor updates never alias), while tile
-/// bookkeeping stays on the coordinator — tiles are few and their serial
-/// order (END unscheduled, END tiles, START unscheduled, START tiles) is
-/// preserved verbatim. Recurrence detection is the same batched speculative
-/// flush through a ShardedStateSet, with the max-tokens journal rolling back
-/// overshoot. List scheduling keeps the serial engine (its ready lists are
-/// order-sensitive), as does any execution with an observer; see
-/// execute_constrained below.
-ConstrainedResult ConstrainedExecutor::run_parallel() {
-  const std::size_t num_actors = g_.num_actors();
-  init_state();
-  EngineTeam team(limits_.engine_jobs, TaskPool::global());
-  EngineStatsScope stats(limits_.engine_stats);
-  stats.stats.parallel_executions = 1;
-  stats.stats.shards = static_cast<long>(ShardedStateSet::kShards);
-  stats.team = &team;
-
-  ShardedStateSet seen;
-  std::vector<PendingSample> pending;
-  std::vector<MaxTokenEntry> journal;
-  std::vector<std::int64_t> journal_base;
-  std::uint64_t samples_taken = 0;
-
-  ConstrainedResult result;
-
-  std::uint32_t ref = 0;
-  bool have_ref = false;
-  for (std::uint32_t a = 0; a < num_actors; ++a) {
-    if (gamma_[a] > 0 && (!have_ref || gamma_[a] < gamma_[ref])) {
-      ref = a;
-      have_ref = true;
-    }
-  }
-  if (!have_ref) return result;
-  std::int64_t sampled_ref_fires = -1;
-  std::uint64_t steps = 0;
-
-  seen.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-      std::min<std::uint64_t>(4096, limits_.max_states),
-      static_cast<std::uint64_t>(gamma_[ref]) * 4 + 16)));
-  journal_base = max_tokens_;
-
-  const std::size_t chunk = team.chunk_size(num_actors);
-  const std::size_t nchunks = EngineTeam::num_chunks(num_actors, chunk);
-  struct ChunkOut {
-    bool changed = false;
-    std::uint64_t events = 0;
-    std::int64_t next = 0;
-    std::int32_t violation = -1;
-    std::vector<MaxTokenEntry> journal;
-  };
-  std::vector<ChunkOut> outs(nchunks);
-
-  auto flush_detection = [&]() -> std::optional<ConstrainedResult> {
-    if (pending.empty()) return std::nullopt;
-    stats.stats.detection_batches += 1;
-    const std::size_t batch = pending.size();
-    const auto hit = seen.flush(pending, team);
-    if (!hit) {
-      pending.clear();
-      journal_base = max_tokens_;
-      journal.clear();
-      return std::nullopt;
-    }
-    stats.stats.speculative_hits += 1;
-    stats.stats.overshoot_samples += static_cast<long>(batch - 1 - hit->index);
-    const PendingSample& s = pending[hit->index];
-    const ShardedStateSet::Snapshot& prev = *hit->prev;
-    ConstrainedResult r;
-    const std::int64_t span = s.time - prev.time;
-    for (std::uint32_t a = 0; a < num_actors; ++a) {
-      const std::int64_t delta = s.fires[a] - prev.fires[a];
-      if (delta > 0 && gamma_[a] > 0) {
-        r.base.status = SelfTimedResult::Status::kPeriodic;
-        r.base.iteration_period = Rational(span) * Rational(gamma_[a], delta);
-        r.base.cycle_start_time = prev.time;
-        r.base.cycle_end_time = s.time;
-        r.base.cycle_firings = delta;
-        r.base.period_firings.resize(num_actors);
-        for (std::uint32_t b = 0; b < num_actors; ++b) {
-          r.base.period_firings[b] = s.fires[b] - prev.fires[b];
-        }
-        break;
-      }
-    }
-    r.base.states_stored = samples_taken - batch + hit->index;
-    r.base.max_tokens = reconstruct_max_tokens(journal_base, journal, s.journal_len);
-    return r;
-  };
-
-  while (true) {
-    try {
-      // ---- Fixpoint at the current instant: the serial phase order with the
-      // two unscheduled-actor passes parallelized.
-      std::uint64_t instant_events = 0;
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        // End unscheduled firings (parallel).
-        team.for_chunks(num_actors, chunk,
-                        [&](std::size_t begin, std::size_t end, std::size_t c) {
-          ChunkOut& out = outs[c];
-          out.changed = false;
-          out.events = 0;
-          out.violation = -1;
-          out.journal.clear();
-          for (std::size_t a = begin; a < end; ++a) {
-            if (spec_.actor_tile[a] != kUnscheduled) continue;
-            auto& rem = unscheduled_remaining_[a];
-            const std::int64_t ended = rem.zero_count();
-            if (ended == 0) continue;
-            rem.pop_zeros();
-            // Per-firing production mirrors the serial engine's check order,
-            // so a divergence error names the same channel.
-            for (std::int64_t k = 0; k < ended; ++k) {
-              produce_outputs_journaled(static_cast<std::uint32_t>(a), out.journal,
-                                        out.violation);
-            }
-            fire_count_[a] += ended;
-            out.changed = true;
-            out.events += static_cast<std::uint64_t>(ended);
-          }
-        });
-        for (std::size_t c = 0; c < nchunks; ++c) {
-          const ChunkOut& out = outs[c];
-          if (out.violation >= 0) {
-            throw AnalysisError(AnalysisErrorKind::kTokenDivergence,
-                                "execute_constrained: unbounded token accumulation on '" +
-                                    g_.channel(ChannelId{static_cast<std::uint32_t>(
-                                                   out.violation)}).name +
-                                    "'");
-          }
-          changed = changed || out.changed;
-          instant_events += out.events;
-          journal.insert(journal.end(), out.journal.begin(), out.journal.end());
-        }
-        // End tile firings (serial; tile production journals directly).
-        for (auto& ts : tiles_) {
-          if (ts.busy && ts.remaining == 0) {
-            ts.busy = false;
-            std::int32_t violation = -1;
-            produce_outputs_journaled(ts.firing_actor, journal, violation);
-            if (violation >= 0) {
-              throw AnalysisError(
-                  AnalysisErrorKind::kTokenDivergence,
-                  "execute_constrained: unbounded token accumulation on '" +
-                      g_.channel(ChannelId{static_cast<std::uint32_t>(violation)}).name +
-                      "'");
-            }
-            ++fire_count_[ts.firing_actor];
-            changed = true;
-            ++instant_events;
-          }
-        }
-        // Start unscheduled firings (parallel).
-        team.for_chunks(num_actors, chunk,
-                        [&](std::size_t begin, std::size_t end, std::size_t c) {
-          ChunkOut& out = outs[c];
-          out.changed = false;
-          out.events = 0;
-          for (std::size_t a = begin; a < end; ++a) {
-            if (spec_.actor_tile[a] != kUnscheduled) continue;
-            const ActorId aid{static_cast<std::uint32_t>(a)};
-            std::int64_t started = limits_.max_tokens_per_channel;
-            for (const ChannelId cid : g_.actor(aid).inputs) {
-              started = std::min(started,
-                                 tokens_[cid.value] / g_.channel(cid).consumption_rate);
-              if (started == 0) break;
-            }
-            if (started == 0) continue;
-            for (const ChannelId cid : g_.actor(aid).inputs) {
-              tokens_[cid.value] -= g_.channel(cid).consumption_rate * started;
-            }
-            unscheduled_remaining_[a].add(g_.actor(aid).execution_time, started);
-            out.changed = true;
-            out.events += static_cast<std::uint64_t>(started);
-          }
-        });
-        for (std::size_t c = 0; c < nchunks; ++c) {
-          changed = changed || outs[c].changed;
-          instant_events += outs[c].events;
-        }
-        // Start tile firings (serial; static order only on this path).
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-          TileState& ts = tiles_[t];
-          if (ts.busy) continue;
-          const StaticOrderSchedule& sched = spec_.tiles[t].schedule;
-          if (ts.schedule_pos >= sched.size()) continue;
-          const ActorId a = sched.at(ts.schedule_pos);
-          if (!tokens_available(a.value)) continue;
-          consume_inputs(a.value);
-          ts.busy = true;
-          ts.firing_actor = a.value;
-          ts.remaining = g_.actor(a).execution_time;
-          ts.schedule_pos = sched.next(ts.schedule_pos);
-          changed = true;
-          ++instant_events;
-        }
-        if (instant_events > limits_.max_events_per_instant) {
-          throw AnalysisError(AnalysisErrorKind::kZeroDelayCycle,
-                              "execute_constrained: zero-delay cycle at one instant");
-        }
-        budget_.check();
-      }
-
-      // ---- Recurrence detection: append the sample, flush speculatively.
-      if (fire_count_[ref] != sampled_ref_fires) {
-        sampled_ref_fires = fire_count_[ref];
-        PendingSample s;
-        encode_key(s.key);
-        s.time = now_;
-        s.journal_len = journal.size();
-        s.fires = fire_count_;
-        pending.push_back(std::move(s));
-        ++samples_taken;
-        const bool at_state_limit = samples_taken > limits_.max_states;
-        if (at_state_limit || pending.size() >= detection_horizon(samples_taken)) {
-          if (auto r = flush_detection()) return *r;
-          if (at_state_limit) {
-            throw AnalysisError(AnalysisErrorKind::kStateLimit,
-                                "execute_constrained: state limit exceeded");
-          }
-        }
-      } else if (++steps > limits_.max_time_steps) {
-        throw AnalysisError(AnalysisErrorKind::kStepLimit,
-                            "execute_constrained: step limit exceeded (livelock?)");
-      }
-      budget_.check();
-
-      // ---- Advance to the next completion event (tiles serial, unscheduled
-      // actors as a parallel min-reduce).
-      std::int64_t next = kNeverCompletes;
-      for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        const TileState& ts = tiles_[t];
-        if (!ts.busy) continue;
-        next = std::min(next, completion_time(now_, ts.remaining, spec_.tiles[t].wheel_size,
-                                              spec_.tiles[t].slice,
-                                              spec_.tiles[t].slice_offset));
-      }
-      team.for_chunks(num_actors, chunk,
-                      [&](std::size_t begin, std::size_t end, std::size_t c) {
-        std::int64_t m = kNeverCompletes;
-        for (std::size_t a = begin; a < end; ++a) {
-          if (spec_.actor_tile[a] != kUnscheduled) continue;
-          if (!unscheduled_remaining_[a].empty()) {
-            m = std::min(m, now_ + unscheduled_remaining_[a].front());
-          }
-        }
-        outs[c].next = m;
-      });
-      for (std::size_t c = 0; c < nchunks; ++c) next = std::min(next, outs[c].next);
-      if (next == kNeverCompletes) {
-        if (auto r = flush_detection()) return *r;
-        result.base.status = SelfTimedResult::Status::kDeadlock;
-        result.base.states_stored = samples_taken;
-        result.base.max_tokens = std::move(max_tokens_);
-        return result;
-      }
-      for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        TileState& ts = tiles_[t];
-        if (!ts.busy) continue;
-        ts.remaining -= slice_time_between(now_, next, spec_.tiles[t].wheel_size,
-                                           spec_.tiles[t].slice, spec_.tiles[t].slice_offset);
-      }
-      team.for_chunks(num_actors, chunk,
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t a = begin; a < end; ++a) {
-          if (spec_.actor_tile[a] != kUnscheduled) continue;
-          unscheduled_remaining_[a].advance(next - now_);
-        }
-      });
-      now_ = next;
-    } catch (const AnalysisError&) {
-      // A hit pending in the batch supersedes an error raised during
-      // speculative overshoot (the serial engine returns at the hit first).
-      if (auto r = flush_detection()) return *r;
-      throw;
-    }
-  }
-}
-
 }  // namespace
 
 ConstrainedResult execute_constrained(const Graph& g, const RepetitionVector& gamma,
                                       const ConstrainedSpec& spec, SchedulingMode mode,
                                       const ExecutionLimits& limits,
                                       const TraceObserver& observer) {
-  ConstrainedExecutor executor(g, gamma, spec, mode, limits, observer);
-  // Observers need the single ordered event stream of the serial engine, and
-  // list scheduling's ready lists are order-sensitive; both keep the serial
-  // path (results are identical either way — engine_jobs is a speed knob).
-  if (limits.engine_jobs > 1 && !observer && mode == SchedulingMode::kStaticOrder) {
-    return executor.run_parallel();
-  }
-  return executor.run();
+  return ConstrainedExecutor(g, gamma, spec, mode, limits, observer).run();
 }
 
 }  // namespace sdfmap

@@ -4,13 +4,8 @@
 #include <limits>
 #include <optional>
 
-#include <cstdlib>
-
-#include "src/analysis/engine_parallel.h"
 #include "src/analysis/remaining_multiset.h"
 #include "src/analysis/state_hash.h"
-#include "src/runtime/task_pool.h"
-#include "src/support/env.h"
 
 namespace sdfmap {
 
@@ -61,257 +56,6 @@ std::optional<std::uint32_t> reference_actor(const RepetitionVector& gamma,
   return ref;
 }
 
-/// Parallel engine: semantically the serial loop below, decomposed into
-/// per-instant phases executed by an EngineTeam plus batched speculative
-/// recurrence detection through a ShardedStateSet (see engine_parallel.h).
-/// Determinism contract: results are byte-identical to the serial engine at
-/// every engine-jobs level —
-///  - END/START phases partition actors in index order; every channel has
-///    exactly one producer and one consumer, so token updates of different
-///    actors never alias and the merge (chunk order = actor order) reproduces
-///    the serial event order exactly;
-///  - BudgetGuard::check() is called by the coordinator at the same program
-///    points as the serial loop, so check indices — and therefore fault
-///    injection and kCancelled propagation — are jobs-invariant;
-///  - detection is batched on a horizon that is a pure function of the sample
-///    count; simulation past an undetected hit (speculative overshoot) is
-///    rolled back via the max-tokens journal, and an AnalysisError raised
-///    during overshoot is superseded by the earlier hit (the serial engine
-///    would have returned before reaching that point).
-SelfTimedResult self_timed_parallel(const Graph& g, const RepetitionVector& gamma,
-                                    const ExecutionLimits& limits) {
-  const std::size_t num_actors = g.num_actors();
-  BudgetGuard budget(limits.budget, "self_timed_throughput");
-  EngineTeam team(limits.engine_jobs, TaskPool::global());
-  EngineStatsScope stats(limits.engine_stats);
-  stats.stats.parallel_executions = 1;
-  stats.stats.shards = static_cast<long>(ShardedStateSet::kShards);
-  stats.team = &team;
-
-  ExecState state;
-  state.tokens.resize(g.num_channels());
-  for (std::size_t i = 0; i < g.num_channels(); ++i) {
-    state.tokens[i] = g.channels()[i].initial_tokens;
-  }
-  state.remaining.assign(num_actors, {});
-
-  std::vector<std::int64_t> fire_count(num_actors, 0);
-  std::vector<std::int64_t> max_tokens = state.tokens;
-
-  ShardedStateSet seen;
-  std::vector<PendingSample> pending;
-  std::vector<MaxTokenEntry> journal;
-  std::vector<std::int64_t> journal_base = max_tokens;
-  std::uint64_t samples_taken = 0;
-
-  SelfTimedResult result;
-  std::int64_t now = 0;
-
-  const auto ref_opt = reference_actor(gamma, num_actors);
-  if (!ref_opt) return result;  // no fireable actor: trivially deadlocked
-  const std::uint32_t ref = *ref_opt;
-  std::int64_t sampled_ref_fires = -1;
-  std::uint64_t steps = 0;
-
-  seen.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-      std::min<std::uint64_t>(4096, limits.max_states),
-      static_cast<std::uint64_t>(gamma[ref]) * 4 + 16)));
-
-  const std::size_t chunk = team.chunk_size(num_actors);
-  const std::size_t nchunks = EngineTeam::num_chunks(num_actors, chunk);
-
-  /// Per-chunk merge buffer: everything a phase produces besides the
-  /// actor-disjoint in-place updates, merged by the coordinator in chunk
-  /// order (= actor order) so aggregates match the serial engine exactly.
-  struct ChunkOut {
-    bool changed = false;
-    std::uint64_t events = 0;
-    std::int64_t dt = 0;
-    std::int32_t violation = -1;  // first over-limit output channel, -1 none
-    std::vector<MaxTokenEntry> journal;
-  };
-  std::vector<ChunkOut> outs(nchunks);
-
-  // Resolves the pending batch; returns the reconstructed result when a
-  // recurrence hit exists, nullopt (with the batch committed and the journal
-  // rebased) when every sample was new.
-  auto flush_detection = [&]() -> std::optional<SelfTimedResult> {
-    if (pending.empty()) return std::nullopt;
-    stats.stats.detection_batches += 1;
-    const std::size_t batch = pending.size();
-    const auto hit = seen.flush(pending, team);
-    if (!hit) {
-      pending.clear();
-      journal_base = max_tokens;
-      journal.clear();
-      return std::nullopt;
-    }
-    stats.stats.speculative_hits += 1;
-    stats.stats.overshoot_samples += static_cast<long>(batch - 1 - hit->index);
-    const PendingSample& s = pending[hit->index];
-    const ShardedStateSet::Snapshot& prev = *hit->prev;
-    SelfTimedResult r;
-    // The serial engine's seen.size() at the hit equals the hit's global
-    // sample index: every earlier sample missed and was inserted.
-    r.states_stored = samples_taken - batch + hit->index;
-    r.max_tokens = reconstruct_max_tokens(journal_base, journal, s.journal_len);
-    const std::int64_t span = s.time - prev.time;
-    for (std::uint32_t a = 0; a < num_actors; ++a) {
-      const std::int64_t delta = s.fires[a] - prev.fires[a];
-      if (delta > 0 && gamma[a] > 0) {
-        r.status = SelfTimedResult::Status::kPeriodic;
-        r.iteration_period = Rational(span) * Rational(gamma[a], delta);
-        r.cycle_start_time = prev.time;
-        r.cycle_end_time = s.time;
-        r.cycle_firings = delta;
-        r.period_firings.resize(num_actors);
-        for (std::uint32_t b = 0; b < num_actors; ++b) {
-          r.period_firings[b] = s.fires[b] - prev.fires[b];
-        }
-        return r;
-      }
-    }
-    r.status = SelfTimedResult::Status::kDeadlock;
-    return r;
-  };
-
-  while (true) {
-    try {
-      // --- Fixpoint at the current instant, as parallel END/START phases.
-      std::uint64_t instant_events = 0;
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        team.for_chunks(num_actors, chunk,
-                        [&](std::size_t begin, std::size_t end, std::size_t c) {
-          ChunkOut& out = outs[c];
-          out.changed = false;
-          out.events = 0;
-          out.violation = -1;
-          out.journal.clear();
-          for (std::size_t a = begin; a < end; ++a) {
-            const std::int64_t ended = state.remaining[a].zero_count();
-            if (ended == 0) continue;
-            state.remaining[a].pop_zeros();
-            for (const ChannelId cid : g.actor(ActorId{static_cast<std::uint32_t>(a)}).outputs) {
-              state.tokens[cid.value] += g.channel(cid).production_rate * ended;
-              if (state.tokens[cid.value] > max_tokens[cid.value]) {
-                max_tokens[cid.value] = state.tokens[cid.value];
-                out.journal.push_back({cid.value, state.tokens[cid.value]});
-              }
-              if (state.tokens[cid.value] > limits.max_tokens_per_channel &&
-                  out.violation < 0) {
-                out.violation = static_cast<std::int32_t>(cid.value);
-              }
-            }
-            fire_count[a] += ended;
-            out.changed = true;
-            out.events += static_cast<std::uint64_t>(ended);
-          }
-        });
-        for (std::size_t c = 0; c < nchunks; ++c) {
-          const ChunkOut& out = outs[c];
-          if (out.violation >= 0) {
-            throw AnalysisError(
-                AnalysisErrorKind::kTokenDivergence,
-                "self_timed_throughput: unbounded token accumulation on channel '" +
-                    g.channel(ChannelId{static_cast<std::uint32_t>(out.violation)}).name +
-                    "'");
-          }
-          changed = changed || out.changed;
-          instant_events += out.events;
-          journal.insert(journal.end(), out.journal.begin(), out.journal.end());
-        }
-        team.for_chunks(num_actors, chunk,
-                        [&](std::size_t begin, std::size_t end, std::size_t c) {
-          ChunkOut& out = outs[c];
-          out.changed = false;
-          out.events = 0;
-          for (std::size_t a = begin; a < end; ++a) {
-            const ActorId aid{static_cast<std::uint32_t>(a)};
-            const std::int64_t started =
-                enabled_firings(g, aid, state.tokens, limits.max_tokens_per_channel);
-            if (started == 0) continue;
-            for (const ChannelId cid : g.actor(aid).inputs) {
-              state.tokens[cid.value] -= g.channel(cid).consumption_rate * started;
-            }
-            state.remaining[a].add(g.actor(aid).execution_time, started);
-            out.changed = true;
-            out.events += static_cast<std::uint64_t>(started);
-          }
-        });
-        for (std::size_t c = 0; c < nchunks; ++c) {
-          changed = changed || outs[c].changed;
-          instant_events += outs[c].events;
-        }
-        if (instant_events > limits.max_events_per_instant) {
-          throw AnalysisError(
-              AnalysisErrorKind::kZeroDelayCycle,
-              "self_timed_throughput: zero-delay cycle (infinitely many events in one instant)");
-        }
-        budget.check();
-      }
-
-      // --- Recurrence detection: append the sample, flush speculatively.
-      if (fire_count[ref] != sampled_ref_fires) {
-        sampled_ref_fires = fire_count[ref];
-        PendingSample s;
-        state.encode_key(s.key);
-        s.time = now;
-        s.journal_len = journal.size();
-        s.fires = fire_count;
-        pending.push_back(std::move(s));
-        ++samples_taken;
-        // The serial engine checks the state cap after every insert; batching
-        // must flush exactly when the first over-cap sample is taken, since a
-        // hit at or before the cap still wins over the limit error.
-        const bool at_state_limit = samples_taken > limits.max_states;
-        if (at_state_limit || pending.size() >= detection_horizon(samples_taken)) {
-          if (auto r = flush_detection()) return *r;
-          if (at_state_limit) {
-            throw AnalysisError(AnalysisErrorKind::kStateLimit,
-                                "self_timed_throughput: state limit exceeded");
-          }
-        }
-      } else if (++steps > limits.max_time_steps) {
-        throw AnalysisError(AnalysisErrorKind::kStepLimit,
-                            "self_timed_throughput: step limit exceeded (livelock?)");
-      }
-      budget.check();
-
-      // --- Advance time: parallel min-reduce, then parallel advance.
-      team.for_chunks(num_actors, chunk,
-                      [&](std::size_t begin, std::size_t end, std::size_t c) {
-        std::int64_t m = std::numeric_limits<std::int64_t>::max();
-        for (std::size_t a = begin; a < end; ++a) {
-          if (!state.remaining[a].empty()) m = std::min(m, state.remaining[a].front());
-        }
-        outs[c].dt = m;
-      });
-      std::int64_t dt = std::numeric_limits<std::int64_t>::max();
-      for (std::size_t c = 0; c < nchunks; ++c) dt = std::min(dt, outs[c].dt);
-      if (dt == std::numeric_limits<std::int64_t>::max()) {
-        if (auto r = flush_detection()) return *r;
-        result.status = SelfTimedResult::Status::kDeadlock;
-        result.states_stored = samples_taken;
-        result.max_tokens = std::move(max_tokens);
-        return result;
-      }
-      team.for_chunks(num_actors, chunk,
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t a = begin; a < end; ++a) state.remaining[a].advance(dt);
-      });
-      now += dt;
-    } catch (const AnalysisError&) {
-      // An error raised during speculative overshoot is superseded by a hit
-      // pending in the batch: the serial engine returns at the hit before
-      // ever reaching the erroring step. Without a hit, the error stands.
-      if (auto r = flush_detection()) return *r;
-      throw;
-    }
-  }
-}
-
 }  // namespace
 
 SelfTimedResult self_timed_throughput(const Graph& g, const ExecutionLimits& limits,
@@ -324,16 +68,8 @@ SelfTimedResult self_timed_throughput(const Graph& g, const ExecutionLimits& lim
 SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& gamma,
                                       const ExecutionLimits& limits,
                                       const TraceObserver& observer) {
-  // Tracing is inherently sequential (observers see one ordered event stream),
-  // so an installed observer keeps the serial engine regardless of engine_jobs
-  // — the same rule the throughput cache applies to observed executions.
-  if (limits.engine_jobs > 1 && !observer) {
-    return self_timed_parallel(g, gamma, limits);
-  }
   const std::size_t num_actors = g.num_actors();
   BudgetGuard budget(limits.budget, "self_timed_throughput");
-  EngineStatsScope engine_stats(limits.engine_stats);
-  engine_stats.stats.serial_executions = 1;
   ExecState state;
   state.tokens.resize(g.num_channels());
   for (std::size_t i = 0; i < g.num_channels(); ++i) {
@@ -494,13 +230,6 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
     for (auto& rem : state.remaining) rem.advance(dt);
     now += dt;
   }
-}
-
-unsigned engine_jobs_from_env(unsigned fallback) {
-  const ParsedEnvJobs parsed =
-      parse_env_engine_jobs(std::getenv("SDFMAP_ENGINE_JOBS"), fallback);
-  warn_env_once(parsed.diagnostic);
-  return parsed.jobs;
 }
 
 }  // namespace sdfmap

@@ -12,8 +12,6 @@
 
 namespace sdfmap {
 
-class EngineStatsSink;
-
 /// Tuning knobs and safety limits for the self-timed execution engines.
 /// Exceeding any count cap or the budget throws AnalysisError (see
 /// src/analysis/error.h) with the matching kind.
@@ -33,17 +31,10 @@ struct ExecutionLimits {
   /// Wall-clock deadline and cooperative cancellation, polled every few
   /// engine steps. Default-constructed: unlimited.
   AnalysisBudget budget;
-  /// Intra-engine parallelism (docs/PERF.md "Intra-engine parallelism"): the
-  /// engine decomposes each time instant into parallel phases and batches
-  /// recurrence detection over up to this many workers borrowed from the
-  /// global TaskPool. 1 (default) keeps the serial engine; any level produces
-  /// byte-identical results, so this is purely a speed knob. Deliberately NOT
-  /// part of throughput-cache fingerprints (src/analysis/cache.cpp).
+  /// Ignored: every engine runs serially. Kept only because the benchmark
+  /// driver under perfbench/ still assigns it; removed together with that
+  /// probe in the next benchmark change.
   unsigned engine_jobs = 1;
-  /// Optional sink for per-execution parallelism counters (engine_parallel.h)
-  /// feeding the stderr-only diagnostics; never part of analysis results.
-  /// Not owned; must outlive every execution using these limits.
-  EngineStatsSink* engine_stats = nullptr;
 };
 
 /// One transition of the state space, reported to trace observers: at time
@@ -117,10 +108,5 @@ struct SelfTimedResult {
 [[nodiscard]] SelfTimedResult self_timed_throughput(const Graph& g,
                                                     const ExecutionLimits& limits = {},
                                                     const TraceObserver& observer = {});
-
-/// ExecutionLimits::engine_jobs from SDFMAP_ENGINE_JOBS (see
-/// parse_env_engine_jobs in src/support/env.h): invalid values warn on stderr
-/// once and use `fallback`. CLI --engine-jobs flags override this.
-[[nodiscard]] unsigned engine_jobs_from_env(unsigned fallback = 1);
 
 }  // namespace sdfmap

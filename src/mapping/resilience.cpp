@@ -15,7 +15,6 @@ void StrategyDiagnostics::merge(const StrategyDiagnostics& other) {
   events.insert(events.end(), other.events.begin(), other.events.end());
   parallel.merge(other.parallel);
   cache.merge(other.cache);
-  engine.merge(other.engine);
   lint.insert(lint.end(), other.lint.begin(), other.lint.end());
 }
 

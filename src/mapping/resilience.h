@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/analysis/cache.h"
-#include "src/analysis/engine_parallel.h"
 #include "src/analysis/error.h"
 #include "src/lint/diagnostic.h"
 #include "src/runtime/parallel.h"
@@ -52,12 +51,6 @@ struct StrategyDiagnostics {
   /// shared across parallel runs are timing-dependent, so they are reported
   /// on stderr only — never on the byte-stable stdout path.
   CacheStats cache;
-  /// Intra-engine parallelism accounting of this run's throughput checks (all
-  /// zero when engine_jobs stayed at 1; see ExecutionLimits::engine_jobs).
-  /// Excluded from summary() for the same reason as `cache`: helper
-  /// participation depends on pool scheduling, so the numbers go to stderr
-  /// only while stdout stays byte-identical at every --engine-jobs level.
-  EngineParallelStats engine;
   /// Findings of the strategy's mandatory lint pre-pass (graph + platform
   /// packs). Errors here mean the run was rejected before any engine started;
   /// warnings ride along on successful runs.

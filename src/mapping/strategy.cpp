@@ -256,13 +256,6 @@ StrategyResult allocate_resources(const ApplicationGraph& app, const Architectur
   // Materialize the persistent tier requested via cache_dir. Attachment never
   // throws; a broken store leaves a working memory-only cache.
   StrategyOptions effective = options;
-  // Collect intra-engine parallelism counters from every throughput check of
-  // the run (including the solver backend and a heuristic fallback) unless
-  // the caller brought their own sink. Reported via diagnostics.engine —
-  // stderr only, never on the byte-stable stdout path.
-  EngineStatsSink engine_stats;
-  const bool own_engine_stats = effective.slices.limits.engine_stats == nullptr;
-  if (own_engine_stats) effective.slices.limits.engine_stats = &engine_stats;
   if (!effective.cache_dir.empty()) {
     if (!effective.cache) {
       effective.cache = make_persistent_throughput_cache(effective.cache_dir);
@@ -275,7 +268,6 @@ StrategyResult allocate_resources(const ApplicationGraph& app, const Architectur
   try {
     StrategyResult result = allocate_resources_impl(app, arch, effective);
     if (effective.cache) effective.cache->flush_persistent();
-    if (own_engine_stats) result.diagnostics.engine = engine_stats.snapshot();
     return result;
   } catch (const AnalysisError& e) {
     StrategyResult result;

@@ -26,7 +26,7 @@ enum : std::uint16_t {
   kTagMetricsText = 15,
   kTagBackend = 16,       // u32 (StrategyBackend)
   kTagLintBudgetMs = 17,  // i64 (deep-rule budget; absent = unlimited)
-  kTagEngineJobs = 18,    // u32 (intra-engine workers; absent = 1 = serial)
+  // 18 is retired (see protocol.h): skipped on decode, never reused.
 };
 
 void put_u16(std::string& out, std::uint16_t v) {
@@ -126,10 +126,6 @@ std::string encode_allocate_request(const AllocateRequest& m) {
   put_tlv_i64(out, kTagPerCheckMs, m.per_check_ms);
   put_tlv(out, kTagDegrade, std::string_view(m.degrade_to_conservative ? "\1" : "\0", 1));
   put_tlv_u32(out, kTagBackend, m.backend);
-  // Only encoded when > 1: servers predating the tag skip unknown TLVs and
-  // run the serial engines, which is the same behavior as "absent" — and the
-  // results are byte-identical either way (the knob is purely a speed hint).
-  if (m.engine_jobs > 1) put_tlv_u32(out, kTagEngineJobs, m.engine_jobs);
   return out;
 }
 
@@ -173,14 +169,8 @@ std::optional<AllocateRequest> decode_allocate_request(const std::string& payloa
         if (!read_u32(f.bytes, m.backend)) return std::nullopt;
         if (m.backend > 2) return std::nullopt;  // unknown backend: malformed
         break;
-      case kTagEngineJobs:
-        if (!read_u32(f.bytes, m.engine_jobs)) return std::nullopt;
-        // 0 and absurd widths are malformed (the env/CLI parsers share the
-        // [1, 1024] bound); the server never auto-grows its pool for these.
-        if (m.engine_jobs == 0 || m.engine_jobs > 1024) return std::nullopt;
-        break;
       default:
-        break;  // unknown tag: skip (newer client)
+        break;  // unknown (newer client) or retired tag: skip
     }
   }
   if (!have_app || !have_platform) return std::nullopt;
@@ -191,7 +181,6 @@ std::string encode_throughput_request(const ThroughputRequest& m) {
   std::string out;
   put_tlv(out, kTagGraphText, m.graph_text);
   put_tlv_i64(out, kTagDeadlineMs, m.deadline_ms);
-  if (m.engine_jobs > 1) put_tlv_u32(out, kTagEngineJobs, m.engine_jobs);
   return out;
 }
 
@@ -208,10 +197,6 @@ std::optional<ThroughputRequest> decode_throughput_request(const std::string& pa
         break;
       case kTagDeadlineMs:
         if (!read_i64(f.bytes, m.deadline_ms)) return std::nullopt;
-        break;
-      case kTagEngineJobs:
-        if (!read_u32(f.bytes, m.engine_jobs)) return std::nullopt;
-        if (m.engine_jobs == 0 || m.engine_jobs > 1024) return std::nullopt;
         break;
       default:
         break;

@@ -12,6 +12,10 @@ namespace sdfmap {
 /// Decoders skip unknown tags (forward compatibility) and treat any truncated
 /// TLV as malformed; every decode_* returns std::nullopt instead of throwing,
 /// so a hostile payload can never crash a session.
+///
+/// Retired tags: 18 (a per-request intra-engine worker count, u32, on
+/// allocate and throughput requests). Decoders skip it like any unknown tag,
+/// so payloads from older clients still decode; never assign 18 again.
 
 /// Typed failure reported by the server. `retryable` errors (shed, draining,
 /// transient transport) are safe to re-send verbatim after a backoff; the
@@ -74,13 +78,6 @@ struct AllocateRequest {
   /// exact_then_heuristic). Out-of-range values are malformed; servers too
   /// old to know the tag skip it and answer with the heuristic.
   std::uint32_t backend = 0;
-  /// Intra-engine workers per state-space execution
-  /// (ExecutionLimits::engine_jobs). 1 = serial engines; the tag is omitted
-  /// on the wire then, so old servers behave identically — results are
-  /// byte-identical at every level anyway (the knob only affects speed). The
-  /// server caps the effective value at its own --jobs pool width and never
-  /// grows the pool for a request; 0 or values above 1024 are malformed.
-  std::uint32_t engine_jobs = 1;
 };
 
 /// kThroughput request: one .sdf graph document; the response carries the
@@ -88,9 +85,6 @@ struct AllocateRequest {
 struct ThroughputRequest {
   std::string graph_text;
   std::int64_t deadline_ms = 0;
-  /// Same contract as AllocateRequest::engine_jobs (omitted when 1; 0 or
-  /// > 1024 malformed; capped at the server's pool width).
-  std::uint32_t engine_jobs = 1;
 };
 
 /// kLint request: one document plus the file-name hint whose extension

@@ -576,11 +576,6 @@ ResultResponse Server::handle_allocate(const AllocateRequest& request,
   StrategyOptions options;
   options.weights = {request.c1, request.c2, request.c3};
   options.slices.limits.budget = budget;
-  // Intra-engine parallelism is capped at the daemon's own --jobs pool width:
-  // a request must not grow the pool the operator sized. The results are
-  // byte-identical at any effective level, so the cap is invisible to clients
-  // beyond speed.
-  options.slices.limits.engine_jobs = std::min(request.engine_jobs, TaskPool::global_jobs());
   options.degrade_to_conservative = request.degrade_to_conservative;
   options.backend = static_cast<StrategyBackend>(request.backend);  // decode bounds it to 0..2
   options.cache = cache_;
@@ -607,7 +602,6 @@ ResultResponse Server::handle_throughput(const ThroughputRequest& request,
   }
   ExecutionLimits limits;
   limits.budget = budget;
-  limits.engine_jobs = std::min(request.engine_jobs, TaskPool::global_jobs());
   const ThroughputReport ss = compute_throughput(g, ThroughputEngine::kStateSpace, limits);
   const ThroughputReport mcr = compute_throughput(g, ThroughputEngine::kHsdfMcr, limits);
   response.text += format_throughput_report(ss, mcr);

@@ -21,34 +21,36 @@ std::string invalid_value_message(const char* variable, const char* raw,
          "\" (expected " + expected + "); using " + fallback;
 }
 
+/// A positive integer up to kMaxEnvJobs from `source` (an env variable or a
+/// flag); empty input uses the fallback silently.
+ParsedEnvJobs parse_jobs(const char* source, const char* value, unsigned fallback) {
+  if (!value || *value == '\0') return {fallback, ""};
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(value, &end, 10);
+  const bool numeric = end != value && *end == '\0' && errno == 0;
+  if (numeric && parsed >= 1 && parsed <= kMaxEnvJobs) {
+    return {static_cast<unsigned>(parsed), ""};
+  }
+  return {fallback,
+          invalid_value_message(source, value, "an integer in [1, 1024]",
+                                std::to_string(fallback))};
+}
+
 }  // namespace
 
 ParsedEnvJobs parse_env_jobs(const char* value, unsigned fallback) {
-  if (!value || *value == '\0') return {fallback, ""};
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  const bool numeric = end != value && *end == '\0' && errno == 0;
-  if (numeric && parsed >= 1 && parsed <= kMaxEnvJobs) {
-    return {static_cast<unsigned>(parsed), ""};
-  }
-  return {fallback,
-          invalid_value_message("SDFMAP_JOBS", value,
-                                "an integer in [1, 1024]", std::to_string(fallback))};
+  return parse_jobs("SDFMAP_JOBS", value, fallback);
 }
 
-ParsedEnvJobs parse_env_engine_jobs(const char* value, unsigned fallback) {
-  if (!value || *value == '\0') return {fallback, ""};
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  const bool numeric = end != value && *end == '\0' && errno == 0;
-  if (numeric && parsed >= 1 && parsed <= kMaxEnvJobs) {
-    return {static_cast<unsigned>(parsed), ""};
-  }
-  return {fallback,
-          invalid_value_message("SDFMAP_ENGINE_JOBS", value,
-                                "an integer in [1, 1024]", std::to_string(fallback))};
+ParsedEnvJobs parse_jobs_flag(const CliArgs& args, unsigned fallback) {
+  return parse_jobs("--jobs", args.get("jobs", "").c_str(), fallback);
+}
+
+unsigned jobs_from_flag(const CliArgs& args, unsigned fallback) {
+  const ParsedEnvJobs parsed = parse_jobs_flag(args, fallback);
+  warn_env_once(parsed.diagnostic);
+  return parsed.jobs;
 }
 
 ParsedEnvBool parse_env_cache(const char* value, bool fallback) {

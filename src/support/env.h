@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/support/cli.h"
+
 namespace sdfmap {
 
 /// Outcome of parsing one SDFMAP_* environment variable: the value to use
@@ -30,11 +32,14 @@ struct ParsedEnvJobs {
 };
 [[nodiscard]] ParsedEnvJobs parse_env_jobs(const char* value, unsigned fallback);
 
-/// SDFMAP_ENGINE_JOBS: intra-engine parallelism of every state-space
-/// execution (ExecutionLimits::engine_jobs), a positive integer up to
-/// kMaxEnvJobs. Same grammar and fallback discipline as SDFMAP_JOBS; the
-/// --engine-jobs CLI flag overrides this.
-[[nodiscard]] ParsedEnvJobs parse_env_engine_jobs(const char* value, unsigned fallback);
+/// --jobs / -j of the front ends: the SDFMAP_JOBS grammar and range, with the
+/// diagnostic naming the flag. An absent or empty flag uses the fallback
+/// silently.
+[[nodiscard]] ParsedEnvJobs parse_jobs_flag(const CliArgs& args, unsigned fallback);
+
+/// parse_jobs_flag plus warn_env_once: the level a front end hands to
+/// TaskPool::set_global_jobs.
+[[nodiscard]] unsigned jobs_from_flag(const CliArgs& args, unsigned fallback);
 
 /// SDFMAP_CACHE: 1/on/true/yes or 0/off/false/no (case-sensitive, matching
 /// the documented spelling). Unset uses the fallback silently; any other

@@ -244,6 +244,36 @@ TEST(Constrained, SpecValidation) {
       std::invalid_argument);
 }
 
+TEST(Constrained, PreCancelledBudgetIsCancelled) {
+  // Three unscheduled cycles with coprime periods (7, 11, 13): a transient
+  // long enough to reach the strided budget poll in both scheduling modes.
+  GraphBuilder b;
+  b.actor("a0", 3).actor("b0", 4).actor("a1", 5).actor("b1", 6).actor("a2", 6).actor("b2", 7);
+  b.channel("a0", "b0", 1, 1).channel("b0", "a0", 1, 1, 1);
+  b.channel("a1", "b1", 1, 1).channel("b1", "a1", 1, 1, 1);
+  b.channel("a2", "b2", 1, 1).channel("b2", "a2", 1, 1, 1);
+  b.channel("a0", "a1", 7, 11, 144).channel("a1", "a2", 11, 13, 192);
+  const Graph& g = b.build();
+  const auto gamma = compute_repetition_vector(g);
+  ConstrainedSpec spec;
+  spec.actor_tile.assign(g.num_actors(), kUnscheduled);
+  spec.tiles.push_back({10, 5, 0, {}});
+  ExecutionLimits limits;
+  const CancellationToken token = CancellationToken::make();
+  token.request_cancel();
+  limits.budget.set_cancellation(token);
+  for (const SchedulingMode mode :
+       {SchedulingMode::kStaticOrder, SchedulingMode::kListScheduling}) {
+    ASSERT_FALSE(execute_constrained(g, *gamma, spec, mode).base.deadlocked());
+    try {
+      (void)execute_constrained(g, *gamma, spec, mode, limits);
+      ADD_FAILURE() << "a cancelled budget must stop the execution";
+    } catch (const AnalysisError& e) {
+      EXPECT_EQ(e.kind(), AnalysisErrorKind::kCancelled);
+    }
+  }
+}
+
 // Monotonicity property: larger slices never reduce throughput.
 class SliceMonotonicity : public ::testing::TestWithParam<std::int64_t> {};
 

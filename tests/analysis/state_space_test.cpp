@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "src/runtime/parallel.h"
+#include "src/runtime/task_pool.h"
 #include "src/sdf/builder.h"
+#include "src/sdf/repetition_vector.h"
 
 namespace sdfmap {
 namespace {
@@ -160,6 +167,150 @@ TEST(StateSpace, StatsPopulated) {
   EXPECT_GE(r.cycle_end_time, r.cycle_start_time);
   EXPECT_GT(r.cycle_firings, 0);
 }
+
+/// Three two-actor cycles with coprime periods (7, 11, 13) chained by
+/// token-rich channels that only couple their phases: the sampled state
+/// recurs after the lcm of the periods, a transient long enough to put every
+/// state and step cap below it to the test.
+Graph coprime_cycles() {
+  const std::int64_t exec[][2] = {{3, 4}, {5, 6}, {6, 7}};
+  Graph g;
+  std::vector<ActorId> heads;
+  for (const auto& e : exec) {
+    const ActorId a = g.add_actor("a" + std::to_string(heads.size()), e[0]);
+    const ActorId b = g.add_actor("b" + std::to_string(heads.size()), e[1]);
+    g.add_channel(a, b, 1, 1, 0);
+    g.add_channel(b, a, 1, 1, 1);
+    heads.push_back(a);
+  }
+  for (std::size_t i = 0; i + 1 < heads.size(); ++i) {
+    const std::int64_t p_src = exec[i][0] + exec[i][1];
+    const std::int64_t p_dst = exec[i + 1][0] + exec[i + 1][1];
+    g.add_channel(heads[i], heads[i + 1], p_src, p_dst, 8 * (p_src + p_dst));
+  }
+  return g;
+}
+
+/// Outcome of one engine run: the AnalysisError it threw, or its result.
+struct Outcome {
+  std::optional<AnalysisErrorKind> error;
+  std::string what;
+  std::optional<SelfTimedResult> result;
+};
+
+Outcome run_engine(const Graph& g, const RepetitionVector& gamma,
+                   const ExecutionLimits& limits) {
+  try {
+    return {std::nullopt, {}, self_timed_throughput(g, gamma, limits)};
+  } catch (const AnalysisError& e) {
+    return {e.kind(), e.what(), std::nullopt};
+  }
+}
+
+/// Field-by-field equality of two SelfTimedResults.
+void expect_same(const SelfTimedResult& a, const SelfTimedResult& b, const std::string& what) {
+  EXPECT_EQ(a.status, b.status) << what;
+  EXPECT_EQ(a.iteration_period, b.iteration_period) << what;
+  EXPECT_EQ(a.states_stored, b.states_stored) << what;
+  EXPECT_EQ(a.cycle_start_time, b.cycle_start_time) << what;
+  EXPECT_EQ(a.cycle_end_time, b.cycle_end_time) << what;
+  EXPECT_EQ(a.cycle_firings, b.cycle_firings) << what;
+  EXPECT_EQ(a.period_firings, b.period_firings) << what;
+  EXPECT_EQ(a.max_tokens, b.max_tokens) << what;
+}
+
+/// The engines are serial; --jobs runs whole checks concurrently. Each test
+/// runs its engine calls as tasks of the global pool at 1, 2 and 8 jobs and
+/// expects exactly the outcome of a plain serial call.
+class ParallelEngineJobs : public ::testing::TestWithParam<unsigned> {
+ protected:
+  void SetUp() override { TaskPool::set_global_jobs(GetParam()); }
+  void TearDown() override { TaskPool::set_global_jobs(1); }
+};
+
+TEST_P(ParallelEngineJobs, StateLimitSweepIsJobsInvariant) {
+  // The engine checks the cap after every insert, and a recurrence hit
+  // returns before inserting: a cap of at least states_stored reproduces the
+  // uncapped result exactly, any smaller cap is a kStateLimit error.
+  const Graph g = coprime_cycles();
+  const auto gamma = *compute_repetition_vector(g);
+  const SelfTimedResult full = self_timed_throughput(g, gamma);
+  ASSERT_FALSE(full.deadlocked());
+  const std::uint64_t total = full.states_stored;
+  ASSERT_GT(total, 10u);
+  std::vector<std::uint64_t> caps;
+  for (std::uint64_t cap = 0; cap <= total + 2; ++cap) caps.push_back(cap);
+  const auto outcomes = parallel_transform(caps, [&](std::uint64_t cap, std::size_t) {
+    ExecutionLimits limits;
+    limits.max_states = cap;
+    return run_engine(g, gamma, limits);
+  });
+  for (const std::uint64_t cap : caps) {
+    const Outcome& o = outcomes[cap];
+    if (cap < total) {
+      EXPECT_EQ(o.error, AnalysisErrorKind::kStateLimit) << "cap " << cap;
+      continue;
+    }
+    ASSERT_TRUE(o.result.has_value()) << "cap " << cap << ": " << o.what;
+    expect_same(*o.result, full, "cap " + std::to_string(cap));
+  }
+}
+
+TEST_P(ParallelEngineJobs, CountCapErrorsMatchSerial) {
+  // Instants without a reference-actor completion count as steps; the slow
+  // reference cycle leaves plenty of them.
+  const Graph g = coprime_cycles();
+  const auto gamma = *compute_repetition_vector(g);
+  const std::vector<std::uint64_t> caps = {1, 5, 50};
+  const auto outcomes = parallel_transform(caps, [&](std::uint64_t cap, std::size_t) {
+    ExecutionLimits limits;
+    limits.max_time_steps = cap;
+    return run_engine(g, gamma, limits);
+  });
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    EXPECT_EQ(outcomes[i].error, AnalysisErrorKind::kStepLimit) << "step cap " << caps[i];
+  }
+  // Token divergence: a source that outpaces its sink fills the channel
+  // between them without bound.
+  Graph diverging;
+  const ActorId src = diverging.add_actor("src", 1);
+  const ActorId snk = diverging.add_actor("snk", 3);
+  diverging.add_channel(src, snk, 2, 1, 0, "hot");
+  diverging.add_channel(src, src, 1, 1, 1);
+  diverging.add_channel(snk, snk, 1, 1, 1);
+  const auto dgamma = compute_repetition_vector(diverging);
+  ASSERT_TRUE(dgamma);
+  ExecutionLimits limits;
+  limits.max_tokens_per_channel = 100;
+  const Outcome serial = run_engine(diverging, *dgamma, limits);
+  ASSERT_EQ(serial.error, AnalysisErrorKind::kTokenDivergence);
+  EXPECT_NE(serial.what.find("'hot'"), std::string::npos) << serial.what;
+  const std::vector<int> runs(4);
+  for (const Outcome& o : parallel_transform(runs, [&](int, std::size_t) {
+         return run_engine(diverging, *dgamma, limits);
+       })) {
+    EXPECT_EQ(o.error, serial.error);
+    EXPECT_EQ(o.what, serial.what);
+  }
+}
+
+TEST_P(ParallelEngineJobs, CancellationPropagates) {
+  // One cancelled token shared by concurrent checks stops every one of them.
+  const Graph g = coprime_cycles();
+  const auto gamma = *compute_repetition_vector(g);
+  ExecutionLimits limits;
+  const CancellationToken token = CancellationToken::make();
+  token.request_cancel();
+  limits.budget.set_cancellation(token);
+  const std::vector<int> runs(4);
+  for (const Outcome& o : parallel_transform(runs, [&](int, std::size_t) {
+         return run_engine(g, gamma, limits);
+       })) {
+    EXPECT_EQ(o.error, AnalysisErrorKind::kCancelled);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, ParallelEngineJobs, ::testing::Values(1u, 2u, 8u));
 
 }  // namespace
 }  // namespace sdfmap

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -210,36 +211,42 @@ TEST(ProtocolTest, AllocateRequestBackendBounds) {
 }
 
 TEST(ProtocolTest, EngineJobsTagRoundtripAndBounds) {
-  // Tag 18 rides only when engine_jobs > 1, so a serial request's wire bytes
-  // are identical to a pre-tag client's and old servers behave identically.
-  AllocateRequest serial;
-  AllocateRequest parallel;
-  parallel.engine_jobs = 8;
-  EXPECT_EQ(encode_allocate_request(serial), encode_allocate_request(AllocateRequest{}));
-  EXPECT_NE(encode_allocate_request(parallel), encode_allocate_request(serial));
-  const auto out = decode_allocate_request(encode_allocate_request(parallel));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->engine_jobs, 8u);
-  const auto defaulted = decode_allocate_request(encode_allocate_request(serial));
-  ASSERT_TRUE(defaulted.has_value());
-  EXPECT_EQ(defaulted->engine_jobs, 1u);
-
-  // 0 and anything above 1024 are malformed on the wire. 0 never encodes (the
-  // tag is omitted at <= 1), so splice the value bytes of a legal encoding:
-  // the engine_jobs TLV is the last field — tag u16, len u32, u32 value.
-  std::string wire = encode_allocate_request(parallel);
-  wire.replace(wire.size() - 4, 4, std::string(4, '\0'));
-  EXPECT_FALSE(decode_allocate_request(wire).has_value());
-  AllocateRequest oversized;
-  oversized.engine_jobs = 1025;
-  EXPECT_FALSE(decode_allocate_request(encode_allocate_request(oversized)).has_value());
-
-  ThroughputRequest tp;
-  tp.graph_text = "g";
-  tp.engine_jobs = 4;
-  const auto tp_out = decode_throughput_request(encode_throughput_request(tp));
-  ASSERT_TRUE(tp_out.has_value());
-  EXPECT_EQ(tp_out->engine_jobs, 4u);
+  // Tag 18 (a u32 per-request engine worker count) is retired: payloads from
+  // older clients that still send it decode with every other field intact,
+  // whatever the value, including the out-of-range ones (0, > 1024) the old
+  // decoder rejected.
+  const auto tag18 = [](std::uint32_t value) {
+    std::string tlv = {'\x12', '\x00', '\x04', '\x00', '\x00', '\x00'};
+    for (int i = 0; i < 4; ++i) tlv.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+    return tlv;
+  };
+  AllocateRequest allocate;
+  allocate.app_text = "app";
+  allocate.platform_text = "platform";
+  allocate.c1 = 0.5;
+  allocate.deadline_ms = 1234;
+  allocate.per_check_ms = 56;
+  allocate.degrade_to_conservative = false;
+  allocate.backend = 2;
+  const ThroughputRequest throughput{"graph text", 99};
+  for (const std::uint32_t value : {0u, 8u, 1025u}) {
+    const auto a = decode_allocate_request(encode_allocate_request(allocate) + tag18(value));
+    ASSERT_TRUE(a.has_value()) << value;
+    EXPECT_EQ(a->app_text, allocate.app_text);
+    EXPECT_EQ(a->platform_text, allocate.platform_text);
+    EXPECT_EQ(a->c1, allocate.c1);
+    EXPECT_EQ(a->c2, allocate.c2);
+    EXPECT_EQ(a->c3, allocate.c3);
+    EXPECT_EQ(a->deadline_ms, allocate.deadline_ms);
+    EXPECT_EQ(a->per_check_ms, allocate.per_check_ms);
+    EXPECT_EQ(a->degrade_to_conservative, allocate.degrade_to_conservative);
+    EXPECT_EQ(a->backend, allocate.backend);
+    const auto t =
+        decode_throughput_request(tag18(value) + encode_throughput_request(throughput));
+    ASSERT_TRUE(t.has_value()) << value;
+    EXPECT_EQ(t->graph_text, throughput.graph_text);
+    EXPECT_EQ(t->deadline_ms, throughput.deadline_ms);
+  }
 }
 
 TEST(ProtocolTest, ThroughputAndLintAndResponsesRoundtrip) {

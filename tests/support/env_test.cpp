@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/support/env.h"
 
 namespace sdfmap {
@@ -51,6 +54,44 @@ TEST(EnvJobsTest, OutOfRangeRejected) {
   // Values past the long range must not wrap into validity.
   EXPECT_EQ(parse_env_jobs("99999999999999999999999", 3).jobs, 3u);
   EXPECT_NE(parse_env_jobs("99999999999999999999999", 3).diagnostic, "");
+}
+
+/// Parses --jobs from a command line given without the program name.
+ParsedEnvJobs jobs_flag(std::vector<std::string> words, unsigned fallback) {
+  words.insert(words.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& w : words) argv.push_back(w.data());
+  return parse_jobs_flag(CliArgs(static_cast<int>(argv.size()), argv.data()), fallback);
+}
+
+TEST(JobsFlagTest, AbsentUsesFallbackSilently) {
+  const ParsedEnvJobs r = jobs_flag({"--app=x"}, 4);
+  EXPECT_EQ(r.jobs, 4u);
+  EXPECT_EQ(r.diagnostic, "");
+}
+
+TEST(JobsFlagTest, ValidValuesParseInEverySpelling) {
+  EXPECT_EQ(jobs_flag({"--jobs=1"}, 4).jobs, 1u);
+  EXPECT_EQ(jobs_flag({"--jobs", "16"}, 4).jobs, 16u);
+  EXPECT_EQ(jobs_flag({"-j", "8"}, 4).jobs, 8u);
+  EXPECT_EQ(jobs_flag({"-j1024"}, 4).jobs, 1024u);
+  EXPECT_EQ(jobs_flag({"--jobs=16"}, 4).diagnostic, "");
+}
+
+TEST(JobsFlagTest, OutOfRangeUsesFallbackWithPinnedDiagnostic) {
+  // Same range as SDFMAP_JOBS: --jobs=100000 must not size a pool of
+  // 100000 threads.
+  const ParsedEnvJobs r = jobs_flag({"--jobs=100000"}, 4);
+  EXPECT_EQ(r.jobs, 4u);
+  EXPECT_EQ(r.diagnostic,
+            "sdfmap: warning: ignoring invalid --jobs value \"100000\""
+            " (expected an integer in [1, 1024]); using 4");
+  for (const char* bad : {"--jobs=0", "--jobs=-2", "--jobs=1025", "--jobs=banana",
+                          "--jobs=8cores", "--jobs=99999999999999999999999"}) {
+    const ParsedEnvJobs b = jobs_flag({bad}, 3);
+    EXPECT_EQ(b.jobs, 3u) << bad;
+    EXPECT_NE(b.diagnostic, "") << bad;
+  }
 }
 
 TEST(EnvCacheTest, DocumentedSpellingsParse) {
