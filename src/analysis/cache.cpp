@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "src/analysis/persistent_cache.h"
@@ -40,6 +41,69 @@ void encode_graph_and_limits(const Graph& g, const ExecutionLimits& limits,
   words.push_back(static_cast<std::int64_t>(limits.max_time_steps));
 }
 
+/// A resident cache key in zigzag LEB128 form, one to ten bytes per word.
+/// Key words are mostly small counts, rates and ids: a Tab. 4 constrained
+/// key of about 410 words packs into about 470 bytes instead of 3.3 KB, so
+/// the resident keys no longer dominate a long-lived cache's memory. The
+/// encoding is canonical: equal words give equal bytes.
+class PackedKey {
+ public:
+  explicit PackedKey(const StateKey& key) : words_(key.words.size()) {
+    std::size_t size = 0;
+    for (const std::int64_t w : key.words) size += encoded_size(zigzag(w));
+    bytes_.reserve(size);
+    for (const std::int64_t w : key.words) {
+      std::uint64_t z = zigzag(w);
+      for (; z >= 0x80; z >>= 7) bytes_.push_back(static_cast<std::uint8_t>(z | 0x80));
+      bytes_.push_back(static_cast<std::uint8_t>(z));
+    }
+  }
+
+  /// True when this packs exactly `key`'s words.
+  [[nodiscard]] bool matches(const StateKey& key) const {
+    if (key.words.size() != words_) return false;
+    const std::uint8_t* p = bytes_.data();
+    for (const std::int64_t w : key.words) {
+      std::uint64_t z = 0;
+      int shift = 0;
+      std::uint8_t byte = 0;
+      do {
+        byte = *p++;
+        z |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+        shift += 7;
+      } while ((byte & 0x80) != 0);
+      if (z != zigzag(w)) return false;
+    }
+    return true;
+  }
+
+  friend bool operator==(const PackedKey& a, const PackedKey& b) {
+    return a.words_ == b.words_ && a.bytes_ == b.bytes_;
+  }
+
+ private:
+  static std::uint64_t zigzag(std::int64_t w) {
+    return (static_cast<std::uint64_t>(w) << 1) ^ static_cast<std::uint64_t>(w >> 63);
+  }
+  static std::size_t encoded_size(std::uint64_t z) {
+    std::size_t n = 1;
+    for (; z >= 0x80; z >>= 7) ++n;
+    return n;
+  }
+
+  std::size_t words_;
+  std::vector<std::uint8_t> bytes_;
+};
+
+/// Per-call accounting of one insert: a racing miss that lost to the first
+/// writer inserted nothing, so only real inserts count (the per-call totals
+/// then sum to the cache's own).
+void count_insert(CacheStats* stats, const ThroughputCache::InsertResult& insert) {
+  if (!stats) return;
+  if (insert.inserted) ++stats->inserts;
+  stats->evictions += static_cast<long>(insert.evicted);
+}
+
 }  // namespace
 
 std::string CacheStats::summary() const {
@@ -59,6 +123,31 @@ std::string CacheStats::summary() const {
 }
 
 struct ThroughputCache::Shard {
+  /// A resident key with its StateKeyHash, and the probe a lookup or insert
+  /// passes to the map's transparent find so the hash is never recomputed.
+  struct StoredKey {
+    PackedKey key;
+    std::size_t hash;
+  };
+  struct KeyProbe {
+    const StateKey& key;
+    std::size_t hash;
+  };
+  struct StoredHash {
+    using is_transparent = void;
+    std::size_t operator()(const StoredKey& k) const { return k.hash; }
+    std::size_t operator()(const KeyProbe& k) const { return k.hash; }
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(const StoredKey& a, const StoredKey& b) const { return a.key == b.key; }
+    bool operator()(const KeyProbe& a, const StoredKey& b) const {
+      return b.key.matches(a.key);
+    }
+    bool operator()(const StoredKey& a, const KeyProbe& b) const {
+      return a.key.matches(b.key);
+    }
+  };
   /// One resident result; from_disk marks records recovered from the
   /// attached persistent store (drives the memory-vs-disk hit breakout).
   struct Entry {
@@ -66,7 +155,7 @@ struct ThroughputCache::Shard {
     bool from_disk = false;
   };
   mutable std::mutex mutex;
-  StateMap<Entry> map;
+  std::unordered_map<StoredKey, Entry, StoredHash, KeyEqual> map;
 };
 
 ThroughputCache::ThroughputCache(std::size_t max_entries)
@@ -75,19 +164,23 @@ ThroughputCache::ThroughputCache(std::size_t max_entries)
 
 ThroughputCache::~ThroughputCache() = default;
 
-ThroughputCache::Shard& ThroughputCache::shard_for(const StateKey& key) const {
+ThroughputCache::Shard& ThroughputCache::shard_for(std::size_t hash) const {
   // Top bits of the key hash: the map uses the low bits for buckets, so the
   // shard index stays decorrelated from intra-shard placement.
-  const std::size_t h = StateKeyHash{}(key);
-  return shards_[(h >> 60) & (kShards - 1)];
+  return shards_[(hash >> 60) & (kShards - 1)];
 }
 
 std::optional<ConstrainedResult> ThroughputCache::lookup(const StateKey& key,
                                                          bool* from_disk) const {
+  return lookup(key, StateKeyHash{}(key), from_disk);
+}
+
+std::optional<ConstrainedResult> ThroughputCache::lookup(const StateKey& key, std::size_t hash,
+                                                         bool* from_disk) const {
   if (from_disk) *from_disk = false;
-  Shard& shard = shard_for(key);
+  Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.map.find(key);
+  const auto it = shard.map.find(Shard::KeyProbe{key, hash});
   if (it == shard.map.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -100,36 +193,47 @@ std::optional<ConstrainedResult> ThroughputCache::lookup(const StateKey& key,
   return it->second.result;
 }
 
-std::size_t ThroughputCache::insert(const StateKey& key, ConstrainedResult value) {
-  Shard& shard = shard_for(key);
-  std::size_t evicted = 0;
+ThroughputCache::InsertResult ThroughputCache::insert(const StateKey& key,
+                                                      ConstrainedResult value) {
+  return insert(key, StateKeyHash{}(key), std::move(value));
+}
+
+ThroughputCache::InsertResult ThroughputCache::insert(const StateKey& key, std::size_t hash,
+                                                      ConstrainedResult value) {
+  Shard& shard = shard_for(hash);
+  InsertResult result;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.map.find(key) != shard.map.end()) return 0;  // racing miss: first writer won
+    if (shard.map.find(Shard::KeyProbe{key, hash}) != shard.map.end()) {
+      return result;  // racing miss: first writer won
+    }
     if (shard.map.size() >= max_per_shard_) {
       // Capacity bound: drop an arbitrary resident. Which entry goes only
       // moves future hit rates, never results, so no ordering bookkeeping is
       // kept.
       shard.map.erase(shard.map.begin());
-      evicted = 1;
+      result.evicted = 1;
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-    shard.map.emplace(key, Shard::Entry{value, false});
+    shard.map.emplace(Shard::StoredKey{PackedKey(key), hash}, Shard::Entry{value, false});
+    result.inserted = true;
     inserts_.fetch_add(1, std::memory_order_relaxed);
   }
   // Outside the shard lock: appends serialize on the store's own mutex, and
   // a disk failure there degrades the tier without touching this shard.
   if (disk_) disk_->append(key, value);
-  return evicted;
+  return result;
 }
 
 void ThroughputCache::attach_persistent(std::shared_ptr<PersistentCache> disk) {
   if (!disk || disk_) return;
   for (auto& [key, value] : disk->open_and_recover()) {
-    Shard& shard = shard_for(key);
+    const std::size_t hash = StateKeyHash{}(key);
+    Shard& shard = shard_for(hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.map.size() >= max_per_shard_) continue;  // memory bound beats warm-start
-    shard.map.emplace(std::move(key), Shard::Entry{std::move(value), true});
+    shard.map.emplace(Shard::StoredKey{PackedKey(key), hash},
+                      Shard::Entry{std::move(value), true});
   }
   disk_ = std::move(disk);
 }
@@ -219,8 +323,9 @@ ConstrainedResult cached_execute_constrained(ThroughputCache* cache, CacheStats*
   }
   if (stats && cache->persistent()) stats->disk_attached = true;
   const StateKey key = constrained_cache_key(g, spec, mode, limits);
+  const std::size_t hash = StateKeyHash{}(key);
   bool from_disk = false;
-  if (auto found = cache->lookup(key, &from_disk)) {
+  if (auto found = cache->lookup(key, hash, &from_disk)) {
     if (stats) {
       ++stats->hits;
       if (from_disk) ++stats->disk_hits;
@@ -231,11 +336,7 @@ ConstrainedResult cached_execute_constrained(ThroughputCache* cache, CacheStats*
   // Any engine error (deadline, cancellation, count cap) throws through here
   // before the insert: an aborted check leaves the cache untouched.
   ConstrainedResult result = execute_constrained(g, gamma, spec, mode, limits, observer);
-  const std::size_t evicted = cache->insert(key, result);
-  if (stats) {
-    ++stats->inserts;
-    stats->evictions += static_cast<long>(evicted);
-  }
+  count_insert(stats, cache->insert(key, hash, result));
   return result;
 }
 
@@ -246,8 +347,9 @@ SelfTimedResult cached_self_timed_throughput(ThroughputCache* cache, CacheStats*
   if (!cache || observer) return self_timed_throughput(g, gamma, limits, observer);
   if (stats && cache->persistent()) stats->disk_attached = true;
   const StateKey key = self_timed_cache_key(g, limits);
+  const std::size_t hash = StateKeyHash{}(key);
   bool from_disk = false;
-  if (auto found = cache->lookup(key, &from_disk)) {
+  if (auto found = cache->lookup(key, hash, &from_disk)) {
     if (stats) {
       ++stats->hits;
       if (from_disk) ++stats->disk_hits;
@@ -258,11 +360,7 @@ SelfTimedResult cached_self_timed_throughput(ThroughputCache* cache, CacheStats*
   ConstrainedResult entry;
   entry.base = self_timed_throughput(g, gamma, limits, observer);
   SelfTimedResult result = entry.base;
-  const std::size_t evicted = cache->insert(key, std::move(entry));
-  if (stats) {
-    ++stats->inserts;
-    stats->evictions += static_cast<long>(evicted);
-  }
+  count_insert(stats, cache->insert(key, hash, std::move(entry)));
   return result;
 }
 

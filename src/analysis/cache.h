@@ -83,7 +83,9 @@ struct CacheStats {
 ///
 /// The table is split into kShards sub-maps, each guarded by its own mutex
 /// and addressed by the top bits of the key hash, so concurrent checks from
-/// the work-stealing TaskPool rarely contend on one lock. When a shard
+/// the work-stealing TaskPool rarely contend on one lock. Resident keys are
+/// held varint-packed with their hash beside them, so a check hashes its key
+/// once for the lookup, the shard choice and the insert. When a shard
 /// reaches its capacity bound an arbitrary resident entry is evicted
 /// (eviction affects only future hit rates, never results).
 class ThroughputCache {
@@ -96,16 +98,29 @@ class ThroughputCache {
   ThroughputCache(const ThroughputCache&) = delete;
   ThroughputCache& operator=(const ThroughputCache&) = delete;
 
+  /// What one insert did: `inserted` is false when the key was already
+  /// resident (a racing miss lost to the first writer); `evicted` counts the
+  /// entries dropped to make room (0 or 1).
+  struct InsertResult {
+    bool inserted = false;
+    std::size_t evicted = 0;
+  };
+
   /// Returns the cached result for `key`, counting a hit or miss. When
   /// `from_disk` is non-null it receives whether the hit was answered by a
   /// record recovered from the attached on-disk tier (false on a miss).
   [[nodiscard]] std::optional<ConstrainedResult> lookup(const StateKey& key,
                                                         bool* from_disk = nullptr) const;
+  /// The same with `hash` = StateKeyHash{}(key) computed by the caller, so
+  /// one check's lookup and insert hash its key once.
+  [[nodiscard]] std::optional<ConstrainedResult> lookup(const StateKey& key, std::size_t hash,
+                                                        bool* from_disk = nullptr) const;
 
   /// Stores `value` under `key` (first writer wins on a race) and, when an
-  /// on-disk tier is attached and writable, appends the record to it. Returns
-  /// the number of entries evicted to make room (0 or 1).
-  std::size_t insert(const StateKey& key, ConstrainedResult value);
+  /// on-disk tier is attached and writable, appends the record to it.
+  InsertResult insert(const StateKey& key, ConstrainedResult value);
+  /// The same with `hash` = StateKeyHash{}(key) computed by the caller.
+  InsertResult insert(const StateKey& key, std::size_t hash, ConstrainedResult value);
 
   /// Attaches an on-disk tier: recovers every salvageable record of the store
   /// into the memory shards (tagged as disk-origin for the hit breakout) and
@@ -131,7 +146,7 @@ class ThroughputCache {
   static constexpr std::size_t kShards = 16;
   struct Shard;
 
-  Shard& shard_for(const StateKey& key) const;
+  Shard& shard_for(std::size_t hash) const;
 
   std::unique_ptr<Shard[]> shards_;
   std::size_t max_per_shard_;

@@ -1,9 +1,9 @@
 #include "src/analysis/constrained.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
+#include "src/analysis/port_table.h"
 #include "src/analysis/remaining_multiset.h"
 #include "src/analysis/state_hash.h"
 
@@ -47,7 +47,10 @@ std::int64_t slice_time_between(std::int64_t from, std::int64_t to, std::int64_t
 
 namespace {
 
-/// Shared engine for both scheduling modes (Sec. 8.2 / Sec. 9.2).
+/// Shared engine for both scheduling modes (Sec. 8.2 / Sec. 9.2). The graph
+/// is compiled to a PortTable and the interconnect actors to one list before
+/// the run starts; the loops below never touch Actor/Channel objects again
+/// except to name a diverging channel.
 class ConstrainedExecutor {
  public:
   ConstrainedExecutor(const Graph& g, const RepetitionVector& gamma,
@@ -59,7 +62,8 @@ class ConstrainedExecutor {
         mode_(mode),
         limits_(limits),
         observer_(observer),
-        budget_(limits.budget, "execute_constrained") {
+        budget_(limits.budget, "execute_constrained"),
+        ports_(g) {
     validate();
   }
 
@@ -68,10 +72,15 @@ class ConstrainedExecutor {
  private:
   struct TileState {
     bool busy = false;
+    /// False when the slice covers the whole wheel: the tile then runs
+    /// ungated and skips the wheel arithmetic.
+    bool gated = true;
     std::uint32_t firing_actor = 0;
     std::int64_t remaining = 0;      // work units left of the active firing
     std::size_t schedule_pos = 0;    // static mode
-    std::deque<std::uint32_t> ready; // list mode
+    /// List mode FIFO: the queued firings are ready[ready_head..].
+    std::vector<std::uint32_t> ready;
+    std::size_t ready_head = 0;
   };
 
   void validate() const {
@@ -102,28 +111,36 @@ class ConstrainedExecutor {
   }
 
   bool tokens_available(std::uint32_t a) const {
-    for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-      if (tokens_[cid.value] < g_.channel(cid).consumption_rate) return false;
+    for (const PortTable::Port& p : ports_.inputs(a)) {
+      if (tokens_[p.channel] < p.rate) return false;
     }
     return true;
   }
 
   void consume_inputs(std::uint32_t a) {
-    for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-      tokens_[cid.value] -= g_.channel(cid).consumption_rate;
-    }
+    for (const PortTable::Port& p : ports_.inputs(a)) tokens_[p.channel] -= p.rate;
   }
 
   void produce_outputs(std::uint32_t a) {
-    for (const ChannelId cid : g_.actor(ActorId{a}).outputs) {
-      tokens_[cid.value] += g_.channel(cid).production_rate;
-      max_tokens_[cid.value] = std::max(max_tokens_[cid.value], tokens_[cid.value]);
-      if (tokens_[cid.value] > limits_.max_tokens_per_channel) {
+    for (const PortTable::Port& p : ports_.outputs(a)) {
+      std::int64_t& tokens = tokens_[p.channel];
+      tokens += p.rate;
+      if (tokens > max_tokens_[p.channel]) max_tokens_[p.channel] = tokens;
+      if (tokens > limits_.max_tokens_per_channel) {
         throw AnalysisError(AnalysisErrorKind::kTokenDivergence,
                             "execute_constrained: unbounded token accumulation on '" +
-                                g_.channel(cid).name + "'");
+                                g_.channel(ChannelId{p.channel}).name + "'");
       }
     }
+  }
+
+  /// Firings of `a` its input tokens enable, capped at `cap`.
+  std::int64_t enabled_firings(std::uint32_t a, std::int64_t cap) const {
+    for (const PortTable::Port& p : ports_.inputs(a)) {
+      cap = std::min(cap, firings_enabled_by(tokens_[p.channel], p.rate));
+      if (cap == 0) break;
+    }
+    return cap;
   }
 
   void init_state() {
@@ -133,7 +150,13 @@ class ConstrainedExecutor {
     }
     max_tokens_ = tokens_;
     tiles_.assign(spec_.tiles.size(), {});
-    unscheduled_remaining_.assign(g_.num_actors(), {});
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      tiles_[t].gated = spec_.tiles[t].slice < spec_.tiles[t].wheel_size;
+    }
+    for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
+      (spec_.actor_tile[a] == kUnscheduled ? unscheduled_ : scheduled_).push_back(a);
+    }
+    unscheduled_remaining_.assign(unscheduled_.size(), {});
     pending_claims_.assign(g_.num_actors(), 0);
     fire_count_.assign(g_.num_actors(), 0);
     recorded_starts_.assign(spec_.tiles.size(), {});
@@ -143,19 +166,30 @@ class ConstrainedExecutor {
   /// A queued instance claims tokens it has not consumed yet, so the number
   /// of queued instances per actor never exceeds min_c floor(tokens/rate).
   void refresh_ready_lists() {
-    for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
-      const std::int32_t t = spec_.actor_tile[a];
-      if (t == kUnscheduled) continue;
-      std::int64_t enabled = limits_.max_tokens_per_channel;
-      for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-        enabled = std::min(enabled, tokens_[cid.value] / g_.channel(cid).consumption_rate);
-      }
-      const std::int64_t pending = pending_claims_[a];
-      for (std::int64_t i = pending; i < enabled; ++i) {
-        tiles_[t].ready.push_back(a);
+    for (const std::uint32_t a : scheduled_) {
+      const std::int64_t enabled = enabled_firings(a, limits_.max_tokens_per_channel);
+      TileState& ts = tiles_[static_cast<std::size_t>(spec_.actor_tile[a])];
+      for (std::int64_t i = pending_claims_[a]; i < enabled; ++i) {
+        ts.ready.push_back(a);
         ++pending_claims_[a];
       }
     }
+  }
+
+  /// List mode: dequeues the oldest ready firing of a non-empty list. The
+  /// consumed prefix is dropped once it dominates the buffer, so a list
+  /// that never drains stays proportional to its live entries.
+  static std::uint32_t pop_ready(TileState& ts) {
+    const std::uint32_t a = ts.ready[ts.ready_head++];
+    if (ts.ready_head == ts.ready.size()) {
+      ts.ready.clear();
+      ts.ready_head = 0;
+    } else if (ts.ready_head >= 64 && ts.ready_head * 2 >= ts.ready.size()) {
+      ts.ready.erase(ts.ready.begin(),
+                     ts.ready.begin() + static_cast<std::ptrdiff_t>(ts.ready_head));
+      ts.ready_head = 0;
+    }
+    return a;
   }
 
   /// Serializes the extended state into a caller-owned key, reusing its word
@@ -172,14 +206,13 @@ class ConstrainedExecutor {
       key.words.push_back(static_cast<std::int64_t>(ts.schedule_pos));
       key.words.push_back(now_ % spec_.tiles[t].wheel_size);  // wheel phase
       if (mode_ == SchedulingMode::kListScheduling) {
-        key.words.push_back(static_cast<std::int64_t>(ts.ready.size()));
-        for (const std::uint32_t a : ts.ready) key.words.push_back(a);
+        key.words.push_back(static_cast<std::int64_t>(ts.ready.size() - ts.ready_head));
+        key.words.insert(key.words.end(),
+                         ts.ready.begin() + static_cast<std::ptrdiff_t>(ts.ready_head),
+                         ts.ready.end());
       }
     }
-    for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
-      if (spec_.actor_tile[a] != kUnscheduled) continue;
-      unscheduled_remaining_[a].encode(key.words);
-    }
+    for (const RemainingMultiset& rem : unscheduled_remaining_) rem.encode(key.words);
   }
 
   const Graph& g_;
@@ -189,12 +222,15 @@ class ConstrainedExecutor {
   const ExecutionLimits& limits_;
   const TraceObserver& observer_;
   BudgetGuard budget_;
+  const PortTable ports_;
 
   std::int64_t now_ = 0;
   std::vector<std::int64_t> tokens_;
   std::vector<std::int64_t> max_tokens_;
   std::vector<TileState> tiles_;
-  std::vector<RemainingMultiset> unscheduled_remaining_;  // per unscheduled actor
+  std::vector<std::uint32_t> unscheduled_;  // interconnect actors, ascending
+  std::vector<std::uint32_t> scheduled_;    // tile-bound actors, ascending
+  std::vector<RemainingMultiset> unscheduled_remaining_;  // parallel to unscheduled_
   std::vector<std::int64_t> pending_claims_;                      // list mode, per actor
   std::vector<std::int64_t> fire_count_;
   std::vector<std::vector<ActorId>> recorded_starts_;             // list mode, per tile
@@ -250,11 +286,11 @@ ConstrainedResult ConstrainedExecutor::run() {
     while (changed) {
       changed = false;
       // End unscheduled firings that have completed.
-      for (std::uint32_t a = 0; a < num_actors; ++a) {
-        if (spec_.actor_tile[a] != kUnscheduled) continue;
-        auto& rem = unscheduled_remaining_[a];
+      for (std::size_t i = 0; i < unscheduled_.size(); ++i) {
+        RemainingMultiset& rem = unscheduled_remaining_[i];
         const std::int64_t ended = rem.zero_count();
         if (ended == 0) continue;
+        const std::uint32_t a = unscheduled_[i];
         rem.pop_zeros();
         for (std::int64_t k = 0; k < ended; ++k) produce_outputs(a);
         fire_count_[a] += ended;
@@ -263,7 +299,7 @@ ConstrainedResult ConstrainedExecutor::run() {
         instant_events += static_cast<std::uint64_t>(ended);
       }
       // End tile firings that have completed.
-      for (auto& ts : tiles_) {
+      for (TileState& ts : tiles_) {
         if (ts.busy && ts.remaining == 0) {
           ts.busy = false;
           produce_outputs(ts.firing_actor);
@@ -274,18 +310,14 @@ ConstrainedResult ConstrainedExecutor::run() {
         }
       }
       // Start unscheduled firings (self-timed).
-      for (std::uint32_t a = 0; a < num_actors; ++a) {
-        if (spec_.actor_tile[a] != kUnscheduled) continue;
-        std::int64_t started = limits_.max_tokens_per_channel;
-        for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-          started = std::min(started, tokens_[cid.value] / g_.channel(cid).consumption_rate);
-          if (started == 0) break;
-        }
+      for (std::size_t i = 0; i < unscheduled_.size(); ++i) {
+        const std::uint32_t a = unscheduled_[i];
+        const std::int64_t started = enabled_firings(a, limits_.max_tokens_per_channel);
         if (started == 0) continue;
-        for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-          tokens_[cid.value] -= g_.channel(cid).consumption_rate * started;
+        for (const PortTable::Port& p : ports_.inputs(a)) {
+          tokens_[p.channel] -= p.rate * started;
         }
-        unscheduled_remaining_[a].add(g_.actor(ActorId{a}).execution_time, started);
+        unscheduled_remaining_[i].add(ports_.execution_time[a], started);
         if (observer_) event.started.insert(event.started.end(), started, ActorId{a});
         changed = true;
         instant_events += static_cast<std::uint64_t>(started);
@@ -295,36 +327,29 @@ ConstrainedResult ConstrainedExecutor::run() {
       for (std::size_t t = 0; t < tiles_.size(); ++t) {
         TileState& ts = tiles_[t];
         if (ts.busy) continue;
+        std::uint32_t a = 0;
         if (mode_ == SchedulingMode::kStaticOrder) {
           const StaticOrderSchedule& sched = spec_.tiles[t].schedule;
           if (ts.schedule_pos >= sched.size()) continue;
-          const ActorId a = sched.at(ts.schedule_pos);
-          if (!tokens_available(a.value)) continue;
-          consume_inputs(a.value);
-          ts.busy = true;
-          ts.firing_actor = a.value;
-          ts.remaining = g_.actor(a).execution_time;
+          a = sched.firings[ts.schedule_pos].value;
+          if (!tokens_available(a)) continue;
           ts.schedule_pos = sched.next(ts.schedule_pos);
-          if (observer_) event.started.push_back(a);
-          changed = true;
-          ++instant_events;
         } else {
-          if (ts.ready.empty()) continue;
-          const std::uint32_t a = ts.ready.front();
-          ts.ready.pop_front();
+          if (ts.ready_head == ts.ready.size()) continue;
+          a = pop_ready(ts);
           --pending_claims_[a];
           if (!tokens_available(a)) {
             throw std::logic_error("execute_constrained: ready-list claim without tokens");
           }
-          consume_inputs(a);
-          ts.busy = true;
-          ts.firing_actor = a;
-          ts.remaining = g_.actor(ActorId{a}).execution_time;
           recorded_starts_[t].push_back(ActorId{a});
-          if (observer_) event.started.push_back(ActorId{a});
-          changed = true;
-          ++instant_events;
         }
+        consume_inputs(a);
+        ts.busy = true;
+        ts.firing_actor = a;
+        ts.remaining = ports_.execution_time[a];
+        if (observer_) event.started.push_back(ActorId{a});
+        changed = true;
+        ++instant_events;
       }
       if (instant_events > limits_.max_events_per_instant) {
         throw AnalysisError(AnalysisErrorKind::kZeroDelayCycle,
@@ -399,15 +424,13 @@ ConstrainedResult ConstrainedExecutor::run() {
     for (std::size_t t = 0; t < tiles_.size(); ++t) {
       const TileState& ts = tiles_[t];
       if (!ts.busy) continue;
-      next = std::min(next, completion_time(now_, ts.remaining, spec_.tiles[t].wheel_size,
-                                            spec_.tiles[t].slice,
-                                            spec_.tiles[t].slice_offset));
+      const TdmaTileSpec& tile = spec_.tiles[t];
+      next = std::min(next, ts.gated ? completion_time(now_, ts.remaining, tile.wheel_size,
+                                                       tile.slice, tile.slice_offset)
+                                     : now_ + ts.remaining);
     }
-    for (std::uint32_t a = 0; a < num_actors; ++a) {
-      if (spec_.actor_tile[a] != kUnscheduled) continue;
-      if (!unscheduled_remaining_[a].empty()) {
-        next = std::min(next, now_ + unscheduled_remaining_[a].front());
-      }
+    for (const RemainingMultiset& rem : unscheduled_remaining_) {
+      if (!rem.empty()) next = std::min(next, now_ + rem.front());
     }
     if (next == kNeverCompletes) {
       // Nothing can complete: deadlock (or a zero-slice tile blocks forever).
@@ -419,13 +442,12 @@ ConstrainedResult ConstrainedExecutor::run() {
     for (std::size_t t = 0; t < tiles_.size(); ++t) {
       TileState& ts = tiles_[t];
       if (!ts.busy) continue;
-      ts.remaining -= slice_time_between(now_, next, spec_.tiles[t].wheel_size,
-                                         spec_.tiles[t].slice, spec_.tiles[t].slice_offset);
+      const TdmaTileSpec& tile = spec_.tiles[t];
+      ts.remaining -= ts.gated ? slice_time_between(now_, next, tile.wheel_size, tile.slice,
+                                                    tile.slice_offset)
+                               : next - now_;
     }
-    for (std::uint32_t a = 0; a < num_actors; ++a) {
-      if (spec_.actor_tile[a] != kUnscheduled) continue;
-      unscheduled_remaining_[a].advance(next - now_);
-    }
+    for (RemainingMultiset& rem : unscheduled_remaining_) rem.advance(next - now_);
     now_ = next;
   }
 }

@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 
+#include "src/analysis/port_table.h"
 #include "src/analysis/remaining_multiset.h"
 #include "src/analysis/state_hash.h"
 
@@ -34,12 +35,12 @@ struct ExecState {
 /// (min over inputs of floor(tokens/rate)); actors without inputs are capped
 /// by `source_cap` — they are unbounded in self-timed execution and trip the
 /// token-accumulation guard when they produce.
-std::int64_t enabled_firings(const Graph& g, ActorId a,
+std::int64_t enabled_firings(const PortTable& ports, std::uint32_t a,
                              const std::vector<std::int64_t>& tokens,
                              std::int64_t source_cap) {
   std::int64_t enabled = source_cap;
-  for (const ChannelId cid : g.actor(a).inputs) {
-    enabled = std::min(enabled, tokens[cid.value] / g.channel(cid).consumption_rate);
+  for (const PortTable::Port& p : ports.inputs(a)) {
+    enabled = std::min(enabled, firings_enabled_by(tokens[p.channel], p.rate));
     if (enabled == 0) break;
   }
   return enabled;
@@ -70,6 +71,9 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
                                       const TraceObserver& observer) {
   const std::size_t num_actors = g.num_actors();
   BudgetGuard budget(limits.budget, "self_timed_throughput");
+  // The loops below read the graph only through this flat table (and name a
+  // diverging channel from `g`).
+  const PortTable ports(g);
   ExecState state;
   state.tokens.resize(g.num_channels());
   for (std::size_t i = 0; i < g.num_channels(); ++i) {
@@ -129,14 +133,15 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
         const std::int64_t ended = state.remaining[a].zero_count();
         if (ended == 0) continue;
         state.remaining[a].pop_zeros();
-        for (const ChannelId cid : g.actor(ActorId{a}).outputs) {
-          state.tokens[cid.value] += g.channel(cid).production_rate * ended;
-          max_tokens[cid.value] = std::max(max_tokens[cid.value], state.tokens[cid.value]);
-          if (state.tokens[cid.value] > limits.max_tokens_per_channel) {
+        for (const PortTable::Port& p : ports.outputs(a)) {
+          std::int64_t& tokens = state.tokens[p.channel];
+          tokens += p.rate * ended;
+          if (tokens > max_tokens[p.channel]) max_tokens[p.channel] = tokens;
+          if (tokens > limits.max_tokens_per_channel) {
             throw AnalysisError(
                 AnalysisErrorKind::kTokenDivergence,
                 "self_timed_throughput: unbounded token accumulation on channel '" +
-                    g.channel(cid).name + "'");
+                    g.channel(ChannelId{p.channel}).name + "'");
           }
         }
         fire_count[a] += ended;
@@ -145,13 +150,13 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
         instant_events += static_cast<std::uint64_t>(ended);
       }
       for (std::uint32_t a = 0; a < num_actors; ++a) {
-        const std::int64_t started = enabled_firings(g, ActorId{a}, state.tokens,
-                                                     limits.max_tokens_per_channel);
+        const std::int64_t started =
+            enabled_firings(ports, a, state.tokens, limits.max_tokens_per_channel);
         if (started == 0) continue;
-        for (const ChannelId cid : g.actor(ActorId{a}).inputs) {
-          state.tokens[cid.value] -= g.channel(cid).consumption_rate * started;
+        for (const PortTable::Port& p : ports.inputs(a)) {
+          state.tokens[p.channel] -= p.rate * started;
         }
-        state.remaining[a].add(g.actor(ActorId{a}).execution_time, started);
+        state.remaining[a].add(ports.execution_time[a], started);
         if (observer) event.started.insert(event.started.end(), started, ActorId{a});
         changed = true;
         instant_events += static_cast<std::uint64_t>(started);

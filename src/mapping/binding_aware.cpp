@@ -108,6 +108,7 @@ BindingAwareGraph build_binding_aware_graph(const ApplicationGraph& app,
     out.actor_tile.push_back(kUnscheduled);
     const ActorId sync_actor = out.graph.add_actor("sync_" + ch.name, wait);
     out.actor_tile.push_back(kUnscheduled);
+    out.sync_actors.push_back({sync_actor, dst_tile});
 
     out.graph.add_channel(conn_actor, conn_actor, 1, 1, 1, ch.name + "_seq");
     out.graph.add_channel(ch.src, conn_actor, ch.production_rate, 1, 0, ch.name + "_src");

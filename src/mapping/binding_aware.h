@@ -45,6 +45,15 @@ struct BindingAwareGraph {
 
   /// Per-tile slice sizes ω used for the sync actors (Υ(s) = w − ω).
   std::vector<std::int64_t> slices;
+
+  /// The synchronization actors in creation (= channel) order, each with the
+  /// tile whose wheel it waits for: the only actors whose Υ depends on the
+  /// slices, so a new slice vector re-times these and nothing else.
+  struct SyncActor {
+    ActorId actor;
+    TileId tile;
+  };
+  std::vector<SyncActor> sync_actors;
 };
 
 /// Constructs the binding-aware SDFG for a complete `binding` with time

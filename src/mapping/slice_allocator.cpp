@@ -1,76 +1,12 @@
 #include "src/mapping/slice_allocator.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "src/analysis/cache.h"
-#include "src/analysis/conservative.h"
-#include "src/analysis/constrained.h"
-#include "src/mapping/binding_aware.h"
-#include "src/mapping/list_scheduler.h"
+#include "src/mapping/slice_check.h"
 #include "src/mapping/tile_cost.h"
-#include "src/sdf/repetition_vector.h"
 
 namespace sdfmap {
-
-namespace {
-
-/// Evaluates the constrained throughput (iterations per time unit; zero on
-/// deadlock) of the bound application under the given slice vector. Each
-/// evaluation runs under the budget's per-check deadline; on exhaustion it
-/// degrades to the conservative [4]-style bound via checked_throughput.
-class SliceEvaluator {
- public:
-  SliceEvaluator(const ApplicationGraph& app, const Architecture& arch,
-                 const Binding& binding, const std::vector<StaticOrderSchedule>& schedules,
-                 const SliceAllocationOptions& options)
-      : app_(app), arch_(arch), binding_(binding), schedules_(schedules), options_(options) {
-    ctx_.fault_hook = options.engine_fault_hook;
-    ctx_.degrade_to_conservative = options.degrade_to_conservative;
-    // The fallback must not inherit the (possibly already expired) budget;
-    // it keeps the count caps only.
-    fallback_limits_ = options.limits;
-    fallback_limits_.budget = AnalysisBudget{};
-  }
-
-  Rational throughput(const std::vector<std::int64_t>& slices) {
-    return checked_throughput(
-        ctx_, "slices",
-        [&] {
-          const BindingAwareGraph bag = build_binding_aware_graph(
-              app_, arch_, binding_, slices, options_.connection_model);
-          const auto gamma = compute_repetition_vector(bag.graph);
-          if (!gamma) return Rational(0);
-          const ConstrainedSpec spec = make_constrained_spec(arch_, bag, schedules_);
-          ExecutionLimits limits = options_.limits;
-          limits.budget = options_.limits.budget.for_one_check();
-          const ConstrainedResult run =
-              cached_execute_constrained(options_.cache.get(), &ctx_.diagnostics.cache,
-                                         bag.graph, *gamma, spec,
-                                         SchedulingMode::kStaticOrder, limits);
-          return run.base.throughput();
-        },
-        [&] {
-          return conservative_throughput(app_, arch_, binding_, schedules_, slices,
-                                         fallback_limits_, options_.connection_model,
-                                         options_.cache.get(), &ctx_.diagnostics.cache)
-              .base.throughput();
-        });
-  }
-
-  [[nodiscard]] int checks() const { return ctx_.diagnostics.total_checks(); }
-  [[nodiscard]] const StrategyDiagnostics& diagnostics() const { return ctx_.diagnostics; }
-
- private:
-  const ApplicationGraph& app_;
-  const Architecture& arch_;
-  const Binding& binding_;
-  const std::vector<StaticOrderSchedule>& schedules_;
-  const SliceAllocationOptions& options_;
-  ExecutionLimits fallback_limits_;
-  CheckContext ctx_;
-};
-
-}  // namespace
 
 SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Architecture& arch,
                                       const Binding& binding,
@@ -105,7 +41,14 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
     return result;
   }
 
-  SliceEvaluator evaluator(app, arch, binding, schedules, options);
+  CheckContext ctx;
+  ctx.fault_hook = options.engine_fault_hook;
+  ctx.degrade_to_conservative = options.degrade_to_conservative;
+  SliceCheck check(app, arch, binding, schedules, options.limits, options.connection_model,
+                   options.cache.get());
+  const auto evaluate = [&](const std::vector<std::int64_t>& slices) {
+    return check.throughput(ctx, "slices", slices);
+  };
 
   // Slices for the uniform search: fraction k/max_avail of each used tile's
   // remaining wheel, at least one time unit.
@@ -121,11 +64,11 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
 
   // ---- First binary search: one common wheel fraction (Sec. 9.3).
   std::vector<std::int64_t> best = slices_for(max_avail);
-  Rational best_thr = evaluator.throughput(best);
+  Rational best_thr = evaluate(best);
   if (best_thr < lambda) {
     result.failure_reason = "throughput constraint unreachable with entire remaining wheels";
-    result.throughput_checks = evaluator.checks();
-    result.diagnostics = evaluator.diagnostics();
+    result.throughput_checks = ctx.diagnostics.total_checks();
+    result.diagnostics = std::move(ctx.diagnostics);
     return result;
   }
   const Rational band_upper = lambda * (Rational(1) + options.slack);
@@ -134,7 +77,7 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
   while (lo < hi && (lambda.is_zero() || best_thr > band_upper)) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     const auto candidate = slices_for(mid);
-    const Rational thr = evaluator.throughput(candidate);
+    const Rational thr = evaluate(candidate);
     if (thr >= lambda) {
       hi = mid;
       best = candidate;
@@ -170,7 +113,7 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
           const std::int64_t mid = tlo + (thi - tlo) / 2;
           auto candidate = best;
           candidate[t] = mid;
-          const Rational thr = evaluator.throughput(candidate);
+          const Rational thr = evaluate(candidate);
           if (thr >= lambda) {
             thi = mid;
             thr_at_thi = thr;
@@ -192,8 +135,8 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
   result.slices = std::move(best);
   result.achieved_throughput = best_thr;
   result.achieved_period = best_thr.is_zero() ? Rational(0) : best_thr.inverse();
-  result.throughput_checks = evaluator.checks();
-  result.diagnostics = evaluator.diagnostics();
+  result.throughput_checks = ctx.diagnostics.total_checks();
+  result.diagnostics = std::move(ctx.diagnostics);
   return result;
 }
 

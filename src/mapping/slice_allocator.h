@@ -67,9 +67,10 @@ struct SliceAllocationResult {
 /// met within the slack band; it fails when even the entire remaining wheels
 /// are insufficient. A second per-tile binary search then shrinks each slice
 /// between floor(l_p(t)·ω_t / max_t' l_p(t')) and its current value while the
-/// constraint stays met. Every candidate is evaluated by rebuilding the
-/// binding-aware graph (the sync actors depend on ω) and running the
-/// schedule/TDMA-constrained state-space analysis.
+/// constraint stays met. Every candidate is evaluated by one SliceCheck: the
+/// binding-aware graph is built once and only its sync actors (Υ = w − ω)
+/// are re-timed per candidate before the schedule/TDMA-constrained
+/// state-space analysis runs.
 [[nodiscard]] SliceAllocationResult allocate_slices(
     const ApplicationGraph& app, const Architecture& arch, const Binding& binding,
     const std::vector<StaticOrderSchedule>& schedules,

@@ -7,11 +7,9 @@
 #include <set>
 #include <utility>
 
-#include "src/analysis/cache.h"
-#include "src/analysis/conservative.h"
-#include "src/analysis/constrained.h"
 #include "src/mapping/criticality.h"
 #include "src/mapping/list_scheduler.h"
+#include "src/mapping/slice_check.h"
 #include "src/runtime/parallel.h"
 #include "src/sdf/repetition_vector.h"
 #include "src/solver/bounds.h"
@@ -76,12 +74,7 @@ class SubtreeSearch {
   SubtreeSearch(const SearchShared& shared, CheckContext ctx)
       : shared_(shared),
         ctx_(std::move(ctx)),
-        guard_(shared.options.limits.budget, "exact solver") {
-    // The conservative fallback must not inherit the (possibly already
-    // expired) budget; it keeps the count caps only (see SliceEvaluator).
-    fallback_limits_ = shared.options.limits;
-    fallback_limits_.budget = AnalysisBudget{};
-  }
+        guard_(shared.options.limits.budget, "exact solver") {}
 
   Outcome run(Binding binding, std::size_t depth) {
     try {
@@ -158,36 +151,6 @@ class SubtreeSearch {
     }
   }
 
-  /// One feasibility check of the (binding, schedules, slices) point: the
-  /// gated state-space engine through the shared cache, degrading to the
-  /// conservative [4] bound (a throughput lower bound, so admission stays
-  /// sound) exactly like the heuristic's SliceEvaluator.
-  Rational evaluate(const Binding& binding, const std::vector<StaticOrderSchedule>& schedules,
-                    const std::vector<std::int64_t>& slices) {
-    const ExactSolverOptions& opts = shared_.options;
-    return checked_throughput(
-        ctx_, "solver",
-        [&] {
-          const BindingAwareGraph bag = build_binding_aware_graph(
-              shared_.app, shared_.arch, binding, slices, opts.connection_model);
-          const auto gamma = compute_repetition_vector(bag.graph);
-          if (!gamma) return Rational(0);
-          const ConstrainedSpec spec = make_constrained_spec(shared_.arch, bag, schedules);
-          ExecutionLimits limits = opts.limits;
-          limits.budget = opts.limits.budget.for_one_check();
-          return cached_execute_constrained(opts.cache.get(), &ctx_.diagnostics.cache,
-                                            bag.graph, *gamma, spec,
-                                            SchedulingMode::kStaticOrder, limits)
-              .base.throughput();
-        },
-        [&] {
-          return conservative_throughput(shared_.app, shared_.arch, binding, schedules,
-                                         slices, fallback_limits_, opts.connection_model,
-                                         opts.cache.get(), &ctx_.diagnostics.cache)
-              .base.throughput();
-        });
-  }
-
   /// Exhaustive (up to sound pruning) search over the slice vectors of one
   /// (binding, schedules) pair. Relies on feasibility being monotone in every
   /// slice coordinate — the same assumption behind the heuristic's binary
@@ -222,8 +185,15 @@ class SubtreeSearch {
     std::vector<std::int64_t> cur(shared_.arch.num_tiles(), 0);
     std::optional<ExactAllocation> local;
 
+    // One feasibility check per (binding, schedules, slices) point: the gated
+    // state-space engine through the shared cache, degrading to the
+    // conservative [4] bound (a throughput lower bound, so admission stays
+    // sound) exactly like the heuristic's slice allocation.
+    const ExactSolverOptions& opts = shared_.options;
+    SliceCheck check(shared_.app, shared_.arch, binding, schedules, opts.limits,
+                     opts.connection_model, opts.cache.get());
     const auto admitted = [&]() -> std::optional<Rational> {
-      const Rational thr = evaluate(binding, schedules, cur);
+      const Rational thr = check.throughput(ctx_, "solver", cur);
       if (shared_.lambda.is_zero() || thr >= shared_.lambda) return thr;
       return std::nullopt;
     };
@@ -281,7 +251,6 @@ class SubtreeSearch {
   const SearchShared& shared_;
   CheckContext ctx_;
   BudgetGuard guard_;
-  ExecutionLimits fallback_limits_;
   std::optional<ExactAllocation> incumbent_;
   std::uint64_t nodes_ = 0;
   std::uint64_t bindings_ = 0;

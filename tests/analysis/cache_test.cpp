@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "src/analysis/error.h"
@@ -44,7 +47,9 @@ TEST(ThroughputCache, MissInsertHitRoundTrip) {
   ConstrainedResult value;
   value.base.status = SelfTimedResult::Status::kPeriodic;
   value.base.iteration_period = Rational(5);
-  EXPECT_EQ(cache.insert(key, value), 0u);
+  const ThroughputCache::InsertResult inserted = cache.insert(key, value);
+  EXPECT_TRUE(inserted.inserted);
+  EXPECT_EQ(inserted.evicted, 0u);
   EXPECT_EQ(cache.size(), 1u);
 
   const auto found = cache.lookup(key);
@@ -67,9 +72,10 @@ TEST(ThroughputCache, FirstWriterWinsOnDuplicateInsert) {
   first.base.iteration_period = Rational(5);
   ConstrainedResult second;
   second.base.iteration_period = Rational(10);
-  (void)cache.insert(key, first);
-  (void)cache.insert(key, second);
+  EXPECT_TRUE(cache.insert(key, first).inserted);
+  EXPECT_FALSE(cache.insert(key, second).inserted);
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().inserts, 1);
   ASSERT_TRUE(cache.lookup(key).has_value());
   EXPECT_EQ(cache.lookup(key)->base.iteration_period, Rational(5));
 }
@@ -95,6 +101,37 @@ TEST(ThroughputCache, ClearEmptiesAllShards) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.lookup(StateKey{{0}}).has_value());
+}
+
+// Resident keys are stored varint-packed: every word range, from zero and
+// small counts to the extremes of int64, must come back as a hit, and a key
+// that differs in length or in one word must miss.
+TEST(ThroughputCache, PackedKeysRoundTripEveryWordRange) {
+  const std::vector<std::int64_t> words = {
+      0, 1, -1, 63, 64, -64, -65, 127, 128, 1 << 20, -(1 << 20),
+      INT64_MAX, INT64_MIN, INT64_MAX - 1, INT64_MIN + 1};
+  ThroughputCache cache;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    StateKey key{{words[i], static_cast<std::int64_t>(i), words[words.size() - 1 - i]}};
+    ConstrainedResult value;
+    value.base.cycle_firings = static_cast<std::int64_t>(i);
+    ASSERT_TRUE(cache.insert(key, value).inserted);
+  }
+  StateKey all{words};
+  ASSERT_TRUE(cache.insert(all, ConstrainedResult{}).inserted);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const StateKey key{{words[i], static_cast<std::int64_t>(i), words[words.size() - 1 - i]}};
+    const auto hit = cache.lookup(key);
+    ASSERT_TRUE(hit.has_value()) << "word " << words[i];
+    EXPECT_EQ(hit->base.cycle_firings, static_cast<std::int64_t>(i));
+  }
+  EXPECT_TRUE(cache.lookup(all).has_value());
+  StateKey shorter = all;
+  shorter.words.pop_back();
+  EXPECT_FALSE(cache.lookup(shorter).has_value());
+  StateKey changed = all;
+  changed.words[5] += 1;
+  EXPECT_FALSE(cache.lookup(changed).has_value());
 }
 
 TEST(CacheStatsTest, MergeAndSummary) {
@@ -245,6 +282,63 @@ TEST(CachedExecution, ConstrainedHitReproducesFreshRunExactly) {
     EXPECT_EQ(r->base.period_firings, fresh.base.period_firings);
     EXPECT_EQ(r->base.max_tokens, fresh.base.max_tokens);
   }
+}
+
+// Threads racing on overlapping keys: two misses of one key both run the
+// engine, but only the first insert lands. Each call's CacheStats must count
+// only what it did, so the per-call totals sum to the cache's own counters.
+TEST(CachedExecution, ConcurrentCallsSumToTheCacheTotals) {
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kWheel = 12;
+  constexpr int kRounds = 8;
+  const Graph g = two_actor_cycle();
+  const auto gamma = compute_repetition_vector(g);
+  std::vector<ConstrainedSpec> specs;
+  std::vector<ConstrainedResult> fresh;
+  for (std::int64_t slice = 1; slice <= kWheel; ++slice) {
+    specs.push_back(one_tile_spec(g, kWheel, slice));
+    fresh.push_back(execute_constrained(g, *gamma, specs.back(), SchedulingMode::kStaticOrder));
+  }
+  const SelfTimedResult fresh_self_timed = self_timed_throughput(g, *gamma);
+
+  ThroughputCache cache;
+  std::vector<CacheStats> stats(kThreads);
+  std::vector<int> mismatches(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+          // Threads walk the keys from different starting points.
+          const std::size_t k = (i + static_cast<std::size_t>(t) * 3) % specs.size();
+          const ConstrainedResult r = cached_execute_constrained(
+              &cache, &stats[t], g, *gamma, specs[k], SchedulingMode::kStaticOrder);
+          if (r.base.iteration_period != fresh[k].base.iteration_period ||
+              r.base.states_stored != fresh[k].base.states_stored) {
+            ++mismatches[t];
+          }
+        }
+        const SelfTimedResult st = cached_self_timed_throughput(&cache, &stats[t], g, *gamma);
+        if (st.iteration_period != fresh_self_timed.iteration_period) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  CacheStats summed;
+  for (const CacheStats& s : stats) summed.merge(s);
+  const CacheStats totals = cache.stats();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  EXPECT_EQ(summed.lookups(), kThreads * kRounds * static_cast<long>(specs.size() + 1));
+  EXPECT_EQ(summed.hits, totals.hits);
+  EXPECT_EQ(summed.misses, totals.misses);
+  EXPECT_EQ(summed.inserts, totals.inserts);
+  EXPECT_EQ(summed.evictions, totals.evictions);
+  // One resident entry per distinct key, however the misses raced.
+  EXPECT_EQ(totals.inserts, static_cast<long>(specs.size() + 1));
+  EXPECT_EQ(cache.size(), specs.size() + 1);
 }
 
 TEST(CachedExecution, ListSchedulingHitCarriesRecordedSchedules) {
