@@ -57,6 +57,7 @@
 #include "src/runtime/task_pool.h"
 #include "src/sdf/repetition_vector.h"
 #include "src/support/cli.h"
+#include "src/support/env.h"
 
 using namespace sdfmap;
 
@@ -392,11 +393,9 @@ void write_json(const std::string& path, bool quick, const HashBenchResult& hash
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const bool quick = args.has("quick");
-  const bool with_cache = args.has("no-cache") ? false
-                          : args.has("cache")  ? true
-                                               : cache_enabled_from_env(true);
+  const bool with_cache = read_knob(Knob::kCache, &args).integer != 0;
   const std::string out_path = args.get("out", "BENCH_statespace.json");
-  const std::string cache_dir = args.get("cache-dir", cache_dir_from_env());
+  const std::string cache_dir = read_knob(Knob::kCacheDir, &args).text;
 
   benchutil::heading("state-space performance harness" + std::string(quick ? " (quick)" : ""));
 

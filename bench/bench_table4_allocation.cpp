@@ -33,13 +33,14 @@
 #include "src/mapping/multi_app.h"
 #include "src/runtime/parallel.h"
 #include "src/support/cli.h"
+#include "src/support/env.h"
 
 using namespace sdfmap;
 
 namespace {
 
 /// Per-check deadline applied to every throughput analysis of the sweep
-/// (--deadline-ms, 0 = none). Checks that exhaust it degrade to the
+/// (--per-check-ms, 0 = none). Checks that exhaust it degrade to the
 /// conservative bound; the sweep still completes and reports how often.
 std::chrono::milliseconds g_per_check_deadline{0};
 
@@ -229,7 +230,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   benchutil::configure_jobs(args);
   g_cache = benchutil::configure_cache(args);
-  g_per_check_deadline = std::chrono::milliseconds(args.get_int("deadline-ms", 0));
+  g_per_check_deadline =
+      std::chrono::milliseconds(read_knob(Knob::kPerCheckMs, &args).integer);
   print_report();
   std::cout << "\n";
   benchmark::Initialize(&argc, argv);

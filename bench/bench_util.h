@@ -14,10 +14,10 @@
 
 #include "src/analysis/cache.h"
 #include "src/analysis/persistent_cache.h"
+#include "src/io/report.h"
 #include "src/runtime/parallel.h"
 #include "src/runtime/task_pool.h"
 #include "src/support/cli.h"
-#include "src/support/env.h"
 
 namespace sdfmap::benchutil {
 
@@ -85,7 +85,7 @@ void time_section(const std::string& label, Fn&& fn) {
 /// Applies the --jobs/-j flag (default: all hardware threads) to the global
 /// runtime pool and announces the level on stderr.
 inline void configure_jobs(const CliArgs& args) {
-  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
+  TaskPool::set_global_jobs(jobs_from_args(args));
   std::cerr << "[jobs] running with --jobs " << TaskPool::global_jobs() << "\n";
 }
 
@@ -98,22 +98,18 @@ inline void report_parallelism(const ParallelStats& stats) {
             << " run by their queue's owner, " << c.executed_stolen << " stolen\n";
 }
 
-/// Builds the benchmark's shared throughput-check cache from --cache /
-/// --no-cache and the SDFMAP_CACHE env (flags win; default on), plus the
-/// persistent store requested by --cache-dir / SDFMAP_CACHE_DIR so repeated
-/// sweeps warm-start from each other's runs (docs/CACHE.md). Returns null
-/// when disabled; announces the choice on stderr. The report on stdout is
-/// byte-identical either way — only run time and the stderr statistics move,
-/// and any disk problem degrades the cache to its in-memory tier.
+/// The benchmark's shared throughput-check cache (throughput_cache_from_args;
+/// a --cache-dir store lets repeated sweeps warm-start), announced on stderr;
+/// null when disabled. The stdout report is byte-identical either way — only
+/// run time and the stderr statistics move.
 inline std::shared_ptr<ThroughputCache> configure_cache(const CliArgs& args) {
-  const bool enabled = args.has("cache")      ? true
-                       : args.has("no-cache") ? false
-                                              : cache_enabled_from_env(true);
-  const std::string dir = enabled ? args.get("cache-dir", cache_dir_from_env()) : "";
-  std::cerr << "[cache] throughput-check cache " << (enabled ? "on" : "off");
-  if (!dir.empty()) std::cerr << ", persistent store at " << dir;
+  std::shared_ptr<ThroughputCache> cache = throughput_cache_from_args(args);
+  std::cerr << "[cache] throughput-check cache " << (cache ? "on" : "off");
+  if (cache && cache->persistent()) {
+    std::cerr << ", persistent store at " << cache->persistent()->dir();
+  }
   std::cerr << "\n";
-  return enabled ? make_persistent_throughput_cache(dir) : nullptr;
+  return cache;
 }
 
 /// Prints a shared cache's lifetime totals — memory and disk tiers — to

@@ -8,22 +8,18 @@
 //   analyze_cli <graph.sdf> [--sink=<actor>] [--storage-period=<num[/den]>]
 //               [--deadline-ms=<n>] [--dot=<file>] [--jobs=<n> | -j <n>]
 //               [--lint] [--lint-level=info|warning|error]
-//               [--cache | --no-cache]   # throughput-check memoization
-//                                        # (default on; SDFMAP_CACHE=0|1;
-//                                        #  stats go to stderr only)
-//               [--cache-dir=<dir>]      # persistent store (SDFMAP_CACHE_DIR,
-//                                        # docs/CACHE.md); repeated analyses
-//                                        # warm-start; disk faults degrade to
-//                                        # the in-memory tier
+//               [--cache | --no-cache] [--cache-dir=<dir>]
 //   analyze_cli lint <file...> [--format=text|sarif|json] [--lint-level=...]
-//               [--lint-budget-ms=<n>]   # deep-rule budget; 0 = degrade all
-//                                        # deep rules deterministically
-//                                        # (SDFMAP_LINT_BUDGET_MS)
-//   analyze_cli allocate --app=<file> --platform=<file>
+//               [--lint-budget-ms=<n>]
+//   analyze_cli allocate --app=<file> --platform=<file> [--c1 --c2 --c3]
 //               [--backend=heuristic|exact|exact_then_heuristic]
 //               [--solver-max-nodes=<n>] [--deadline-ms=<n>] [--per-check-ms=<n>]
 //               [--no-degrade] [--cache|--no-cache] [--cache-dir=<dir>]
 //   analyze_cli --demo        # runs on the built-in CD-to-DAT converter
+//
+// The shared knobs and their SDFMAP_* variables are described in the knob
+// table of docs/RUNTIME.md; every path parses them through the same
+// builders as flow_cli.
 //
 // The `allocate` subcommand runs the resource-allocation strategy — with any
 // backend, including the exact branch-and-bound solver (docs/SOLVER.md) —
@@ -50,9 +46,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "src/analysis/cache.h"
 #include "src/analysis/latency.h"
-#include "src/analysis/persistent_cache.h"
 #include "src/analysis/storage.h"
 #include "src/analysis/throughput.h"
 #include "src/appmodel/media.h"
@@ -93,14 +87,6 @@ Rational parse_rational(const std::string& s) {
   return Rational(parse_int(s.substr(0, slash)), parse_int(s.substr(slash + 1)));
 }
 
-bool parse_lint_level(const std::string& level, Severity& out) {
-  if (level == "info") out = Severity::kInfo;
-  else if (level == "warning") out = Severity::kWarning;
-  else if (level == "error") out = Severity::kError;
-  else return false;
-  return true;
-}
-
 /// `analyze_cli lint <file...>`: lint each file, report in the requested
 /// format, and exit 0 (clean) / 8 (warnings or infos only) / 7 (errors).
 int run_lint_subcommand(const CliArgs& args) {
@@ -113,13 +99,7 @@ int run_lint_subcommand(const CliArgs& args) {
               << "exit codes: 0 clean, 7 lint errors, 8 warnings/infos only, 2 usage\n";
     return kCliUsageError;
   }
-  LintOptions options;
-  if (!parse_lint_level(args.get("lint-level", "info"), options.min_severity)) {
-    std::cerr << "error: --lint-level must be info, warning or error\n";
-    return kCliUsageError;
-  }
-  options.deep_budget = lint_budget_from_ms(
-      args.get_int("lint-budget-ms", lint_budget_ms_from_env(-1)));
+  const LintOptions options = lint_options_from_args(args);
   const std::string format = args.get("format", "text");
   if (format != "text" && format != "sarif" && format != "json") {
     std::cerr << "error: --format must be text, sarif or json\n";
@@ -173,39 +153,11 @@ int run_allocate_subcommand(const CliArgs& args) {
     for (const auto& p : problems) std::cerr << "  - " << p << "\n";
     return kCliInvalidInput;
   }
-  StrategyOptions options;
-  if (const auto parsed = backend_from_name(args.get("backend", "heuristic"))) {
-    options.backend = *parsed;
-  } else {
-    std::cerr << "error: --backend must be heuristic, exact or exact_then_heuristic\n";
-    return kCliUsageError;
-  }
-  options.solver_max_nodes = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(0, args.get_int("solver-max-nodes", 0)));
-  const std::int64_t deadline_ms = args.get_int("deadline-ms", 0);
-  if (deadline_ms > 0) {
-    options.slices.limits.budget =
-        AnalysisBudget::expiring_in(std::chrono::milliseconds(deadline_ms));
-  }
-  const std::int64_t per_check_ms = args.get_int("per-check-ms", 0);
-  if (per_check_ms > 0) {
-    options.slices.limits.budget.set_per_check_timeout(
-        std::chrono::milliseconds(per_check_ms));
-  }
+  StrategyOptions options = strategy_options_from_args(args);
   options.slices.limits.budget.set_cancellation(install_cancellation_signal_handlers());
-  options.degrade_to_conservative = !args.has("no-degrade");
-  const bool cache_on = args.has("cache")      ? true
-                        : args.has("no-cache") ? false
-                                               : cache_enabled_from_env(true);
-  if (cache_on) {
-    options.cache =
-        make_persistent_throughput_cache(args.get("cache-dir", cache_dir_from_env()));
-  }
+  options.cache = throughput_cache_from_args(args);
   const StrategyResult r = allocate_resources(app, arch, options);
-  if (options.cache) {
-    options.cache->flush_persistent();
-    std::cerr << "throughput cache: " << options.cache->stats().summary() << "\n";
-  }
+  report_throughput_cache(options.cache);
   std::cout << format_strategy_result(app, arch, r);
   return r.success ? kCliSuccess : cli_exit_code(r.failure_kind);
 }
@@ -213,7 +165,7 @@ int run_allocate_subcommand(const CliArgs& args) {
 int run(const CliArgs& args) {
   // --jobs drives the cross-check sweeps; every output is byte-identical at
   // every level.
-  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
+  TaskPool::set_global_jobs(jobs_from_args(args));
   if (!args.positional().empty() && args.positional().front() == "lint") {
     return run_lint_subcommand(args);
   }
@@ -244,22 +196,15 @@ int run(const CliArgs& args) {
   }
 
   if (args.has("lint")) {
-    LintOptions lint_options;
-    if (!parse_lint_level(args.get("lint-level", "info"), lint_options.min_severity)) {
-      std::cerr << "error: --lint-level must be info, warning or error\n";
-      return kCliUsageError;
-    }
-    lint_options.deep_budget = lint_budget_from_ms(
-        args.get_int("lint-budget-ms", lint_budget_ms_from_env(-1)));
     LintInput input;
     input.graph = &g;
-    const LintResult lint = run_lint(input, lint_options);
+    const LintResult lint = run_lint(input, lint_options_from_args(args));
     std::cout << render_diagnostics_text(lint.diagnostics);
     if (lint.has_errors()) return kCliLintError;
   }
 
   ExecutionLimits limits;
-  const std::int64_t deadline_ms = args.get_int("deadline-ms", 0);
+  const std::int64_t deadline_ms = read_knob(Knob::kDeadlineMs, &args).integer;
   if (deadline_ms > 0) {
     limits.budget = AnalysisBudget::expiring_in(std::chrono::milliseconds(deadline_ms));
   }
@@ -268,14 +213,9 @@ int run(const CliArgs& args) {
   limits.budget.set_cancellation(install_cancellation_signal_handlers());
 
   // Memoization of repeated throughput checks (the storage search below).
-  // Flags beat SDFMAP_CACHE beats the default (on). Results are identical
-  // either way; only the cache statistics differ, and they go to stderr.
-  const bool cache_on = args.has("cache")      ? true
-                        : args.has("no-cache") ? false
-                                               : cache_enabled_from_env(true);
-  const auto cache =
-      cache_on ? make_persistent_throughput_cache(args.get("cache-dir", cache_dir_from_env()))
-               : nullptr;
+  // Results are identical either way; only the cache statistics differ, and
+  // they go to stderr.
+  const auto cache = throughput_cache_from_args(args);
 
   const GraphDiagnostics diag = diagnose_graph(g);
   std::cout << diag.to_string(g);
@@ -303,16 +243,7 @@ int run(const CliArgs& args) {
     storage_options.limits = limits;
     storage_options.cache = cache;
     const StorageResult storage = minimize_storage(g, target, storage_options);
-    if (cache) {
-      cache->flush_persistent();
-      std::cerr << "throughput cache: " << cache->stats().summary() << "\n";
-      if (const auto disk = cache->persistent()) {
-        for (const DiskCacheEvent& event : disk->events()) {
-          std::cerr << "throughput cache disk " << disk_event_kind_name(event.kind) << ": "
-                    << event.detail << "\n";
-        }
-      }
-    }
+    report_throughput_cache(cache);
     if (!storage.success) {
       std::cout << "storage minimization failed: " << storage.failure_reason << "\n";
     } else {

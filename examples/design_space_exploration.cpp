@@ -16,17 +16,17 @@
 #include <vector>
 
 #include "src/gen/benchmark_sets.h"
+#include "src/io/report.h"
 #include "src/mapping/multi_app.h"
 #include "src/runtime/parallel.h"
 #include "src/runtime/task_pool.h"
 #include "src/support/cli.h"
-#include "src/support/env.h"
 
 using namespace sdfmap;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
+  TaskPool::set_global_jobs(jobs_from_args(args));
   const auto set = static_cast<BenchmarkSet>(args.get_int("set", 4));
   const std::size_t count = static_cast<std::size_t>(args.get_int("apps", 20));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

@@ -11,19 +11,16 @@
 //            [--deadline-ms=<n>] [--per-check-ms=<n>] [--no-degrade]
 //            [--dot=<prefix>] [--utilization] [--gantt[=<width>]]
 //            [--vcd=<file>] [--jobs=<n> | -j <n>]
-//            [--cache | --no-cache]   # throughput-check memoization (default
-//                                     # on; SDFMAP_CACHE=0|1; the allocation
-//                                     # is identical either way — cache stats
-//                                     # go to stderr only)
-//            [--cache-dir=<dir>]      # persistent throughput-check store
-//                                     # (SDFMAP_CACHE_DIR; docs/CACHE.md):
-//                                     # repeated runs warm-start from it; any
-//                                     # disk problem degrades to the
-//                                     # in-memory tier, never fails the run
+//            [--cache | --no-cache] [--cache-dir=<dir>]
 //   flow_cli --app=<file> --platform=<file> --lint [--lint-level=l]
-//            [--lint-budget-ms=<n>]  # deep-rule budget (SDFMAP_LINT_BUDGET_MS);
-//                                    # 0 degrades every deep rule to an advisory
+//            [--lint-budget-ms=<n>]
 //   flow_cli --dump-examples [--dir=.]
+//
+// The shared knobs (--jobs, --cache*, --deadline-ms, --per-check-ms,
+// --lint-*, --backend, --solver-max-nodes, --no-degrade, --c1..--c3) and
+// their SDFMAP_* variables are described in the knob table of
+// docs/RUNTIME.md. The cache never changes the allocation; its statistics go
+// to stderr only.
 //
 // --lint runs the rule packs (docs/LINT.md) over both inputs and exits with
 // the severity-mapped lint code instead of running the strategy. The strategy
@@ -38,16 +35,10 @@
 // cooperatively (never mid-write), the persistent cache is flushed on the
 // way out, and the process exits 6 (cancelled).
 
-#include <algorithm>
-#include <chrono>
 #include <fstream>
-#include <iterator>
 #include <iostream>
-#include <sstream>
 
-#include "src/analysis/cache.h"
 #include "src/analysis/metrics.h"
-#include "src/analysis/persistent_cache.h"
 #include "src/appmodel/paper_example.h"
 #include "src/io/app_format.h"
 #include "src/io/dot.h"
@@ -61,7 +52,6 @@
 #include "src/runtime/task_pool.h"
 #include "src/sdf/repetition_vector.h"
 #include "src/support/cli.h"
-#include "src/support/env.h"
 #include "src/support/signals.h"
 
 using namespace sdfmap;
@@ -87,7 +77,7 @@ int dump_examples(const std::string& dir) {
 int run(const CliArgs& args) {
   // Parallelism of the library's internal sweeps (buffer sizing candidates);
   // the allocation and report are byte-identical for every level.
-  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
+  TaskPool::set_global_jobs(jobs_from_args(args));
   if (args.has("dump-examples")) {
     return dump_examples(args.get("dir", "."));
   }
@@ -105,20 +95,10 @@ int run(const CliArgs& args) {
   }
 
   if (args.has("lint")) {
-    LintOptions lint_options;
-    const std::string level = args.get("lint-level", "info");
-    if (level == "warning") lint_options.min_severity = Severity::kWarning;
-    else if (level == "error") lint_options.min_severity = Severity::kError;
-    else if (level != "info") {
-      std::cerr << "error: --lint-level must be info, warning or error\n";
-      return kCliUsageError;
-    }
-    lint_options.deep_budget = lint_budget_from_ms(
-        args.get_int("lint-budget-ms", lint_budget_ms_from_env(-1)));
     // One combined pass over the pair, so the SDF3xx feasibility rules see
     // the (graph, platform, constraint) tuple — the same rules the strategy's
     // mandatory gate applies.
-    const LintResult all = lint_pair(app_path, platform_path, lint_options);
+    const LintResult all = lint_pair(app_path, platform_path, lint_options_from_args(args));
     std::cout << render_diagnostics_text(all.diagnostics);
     std::cout << count_severity(all.diagnostics, Severity::kError) << " error(s), "
               << count_severity(all.diagnostics, Severity::kWarning) << " warning(s), "
@@ -142,52 +122,15 @@ int run(const CliArgs& args) {
     return kCliInvalidInput;
   }
 
-  StrategyOptions options;
-  options.weights = {args.get_double("c1", 1), args.get_double("c2", 1),
-                     args.get_double("c3", 1)};
-  const std::string backend = args.get("backend", "heuristic");
-  if (const auto parsed = backend_from_name(backend)) {
-    options.backend = *parsed;
-  } else {
-    std::cerr << "error: --backend must be heuristic, exact or exact_then_heuristic\n";
-    return kCliUsageError;
-  }
-  options.solver_max_nodes =
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, args.get_int("solver-max-nodes", 0)));
-  const std::int64_t deadline_ms = args.get_int("deadline-ms", 0);
-  if (deadline_ms > 0) {
-    options.slices.limits.budget =
-        AnalysisBudget::expiring_in(std::chrono::milliseconds(deadline_ms));
-  }
-  const std::int64_t per_check_ms = args.get_int("per-check-ms", 0);
-  if (per_check_ms > 0) {
-    options.slices.limits.budget.set_per_check_timeout(
-        std::chrono::milliseconds(per_check_ms));
-  }
+  StrategyOptions options = strategy_options_from_args(args);
   // Ctrl-C / TERM cancel the run cooperatively (exit 6) instead of killing
   // the process mid-write; the cache flush below still runs.
   options.slices.limits.budget.set_cancellation(install_cancellation_signal_handlers());
-  options.degrade_to_conservative = !args.has("no-degrade");
-  const bool cache_on = args.has("cache")      ? true
-                        : args.has("no-cache") ? false
-                                               : cache_enabled_from_env(true);
-  if (cache_on) {
-    // Flags beat SDFMAP_CACHE_DIR; a persistent store makes repeated runs
-    // warm-start from each other's checks (docs/CACHE.md).
-    options.cache =
-        make_persistent_throughput_cache(args.get("cache-dir", cache_dir_from_env()));
-  }
+  // A persistent store (--cache-dir) makes repeated runs warm-start from
+  // each other's checks (docs/CACHE.md).
+  options.cache = throughput_cache_from_args(args);
   const StrategyResult r = allocate_resources(app, arch, options);
-  if (options.cache) {
-    options.cache->flush_persistent();
-    std::cerr << "throughput cache: " << options.cache->stats().summary() << "\n";
-    if (const auto disk = options.cache->persistent()) {
-      for (const DiskCacheEvent& event : disk->events()) {
-        std::cerr << "throughput cache disk " << disk_event_kind_name(event.kind) << ": "
-                  << event.detail << "\n";
-      }
-    }
-  }
+  report_throughput_cache(options.cache);
   // The shared renderer keeps this CLI, the examples and the sdfmapd
   // allocate handler byte-identical for the same inputs.
   std::cout << format_strategy_result(app, arch, r);

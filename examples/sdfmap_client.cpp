@@ -40,10 +40,9 @@
 #include <sstream>
 
 #include "src/io/report.h"
-#include "src/lint/driver.h"
-#include "src/mapping/strategy.h"
 #include "src/service/client.h"
 #include "src/support/cli.h"
+#include "src/support/env.h"
 
 using namespace sdfmap;
 
@@ -162,27 +161,13 @@ int run(const CliArgs& args) {
   ServiceClient client(std::move(options));
 
   if (command == "allocate" || command == "repeat") {
-    AllocateRequest request;
+    AllocateRequest request = allocate_request_from_args(args);
     const std::string app_path = args.get("app", "");
     const std::string platform_path = args.get("platform", "");
     if (app_path.empty() || platform_path.empty() ||
         !read_file(app_path, request.app_text) ||
         !read_file(platform_path, request.platform_text)) {
       std::cerr << "sdfmap_client: cannot read --app / --platform files\n";
-      return kCliUsageError;
-    }
-    request.c1 = args.get_double("c1", 1);
-    request.c2 = args.get_double("c2", 1);
-    request.c3 = args.get_double("c3", 1);
-    request.deadline_ms = args.get_int("deadline-ms", 0);
-    request.per_check_ms = args.get_int("per-check-ms", 0);
-    request.degrade_to_conservative = !args.has("no-degrade");
-    const std::string backend = args.get("backend", "heuristic");
-    if (const auto parsed = backend_from_name(backend)) {
-      request.backend = static_cast<std::uint32_t>(*parsed);
-    } else {
-      std::cerr << "sdfmap_client: --backend must be heuristic, exact or"
-                << " exact_then_heuristic\n";
       return kCliUsageError;
     }
     if (command == "allocate") return finish(client.allocate(request));
@@ -216,7 +201,7 @@ int run(const CliArgs& args) {
       std::cerr << "sdfmap_client: cannot read '" << positional[1] << "'\n";
       return kCliUsageError;
     }
-    request.deadline_ms = args.get_int("deadline-ms", 0);
+    request.deadline_ms = read_knob(Knob::kDeadlineMs, &args).integer;
     return finish(client.throughput(request));
   }
 
@@ -234,7 +219,7 @@ int run(const CliArgs& args) {
     }
     // -1 = flag/env absent: the budget tag stays off the wire and the server
     // lints with an unlimited budget.
-    request.budget_ms = args.get_int("lint-budget-ms", lint_budget_ms_from_env(-1));
+    request.budget_ms = read_knob(Knob::kLintBudgetMs, &args).integer;
     return finish(client.lint(request));
   }
 
@@ -250,6 +235,9 @@ int run(const CliArgs& args) {
 int main(int argc, char** argv) {
   try {
     return run(CliArgs(argc, argv));
+  } catch (const UsageError& e) {
+    std::cerr << "sdfmap_client: error: " << e.what() << "\n";
+    return kCliUsageError;
   } catch (const std::exception& e) {
     std::cerr << "sdfmap_client: error: " << e.what() << "\n";
     return kCliInternalError;

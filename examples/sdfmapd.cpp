@@ -12,7 +12,10 @@
 //           [--max-deadline-ms=<n>]  # cap on any client-requested deadline
 //           [--drain-ms=<n>]         # grace period for in-flight work on stop
 //           [--cache | --no-cache]   # shared throughput-check memoization
-//           [--cache-dir=<dir>]      # persistent store (SDFMAP_CACHE_DIR)
+//           [--cache-dir=<dir>]      # persistent store
+//
+// --jobs, --deadline-ms and the cache knobs follow the knob table of
+// docs/RUNTIME.md (SDFMAP_JOBS, SDFMAP_CACHE, SDFMAP_CACHE_DIR).
 //
 // Robustness contract (tested by tests/service/ and the CI service job):
 // malformed / truncated / oversized / version-skewed frames produce a typed
@@ -29,8 +32,7 @@
 #include <iostream>
 #include <thread>
 
-#include "src/analysis/cache.h"
-#include "src/analysis/persistent_cache.h"
+#include "src/io/report.h"
 #include "src/runtime/task_pool.h"
 #include "src/service/server.h"
 #include "src/support/cli.h"
@@ -51,7 +53,7 @@ int main(int argc, char** argv) {
                 << "exit codes: 0 clean drain, 1 forced drain, 2 usage/bind failure\n";
       return 2;
     }
-    TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
+    TaskPool::set_global_jobs(jobs_from_args(args));
 
     ServerOptions options;
     options.socket_path = socket_path;
@@ -61,13 +63,12 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("max-queue", 64)));
     options.max_sessions =
         static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("max-sessions", 32)));
-    options.default_deadline_ms = args.get_int("deadline-ms", 0);
+    options.default_deadline_ms = read_knob(Knob::kDeadlineMs, &args).integer;
     options.max_deadline_ms = args.get_int("max-deadline-ms", 0);
     options.drain_timeout_ms = std::max<std::int64_t>(0, args.get_int("drain-ms", 5000));
-    options.cache_enabled = args.has("cache")      ? true
-                            : args.has("no-cache") ? false
-                                                   : cache_enabled_from_env(true);
-    options.cache_dir = args.get("cache-dir", cache_dir_from_env());
+    options.cache_enabled = read_knob(Knob::kCache, &args).integer != 0;
+    options.cache_dir = read_knob(Knob::kCacheDir, &args).text;
+    const unsigned workers = options.workers;
 
     Server server(std::move(options));
     std::string error;
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::cerr << "sdfmapd: listening on " << socket_path << " ("
-              << args.get_int("workers", 2) << " workers, " << TaskPool::global_jobs()
+              << workers << " workers, " << TaskPool::global_jobs()
               << " jobs)\n";
 
     // SIGINT/SIGTERM trip the token; the main thread then runs the graceful

@@ -17,11 +17,11 @@
 #include "src/analysis/state_space.h"
 #include "src/analysis/storage.h"
 #include "src/appmodel/media.h"
+#include "src/io/report.h"
 #include "src/runtime/task_pool.h"
 #include "src/sdf/builder.h"
 #include "src/sdf/repetition_vector.h"
 #include "src/support/cli.h"
-#include "src/support/env.h"
 
 using namespace sdfmap;
 
@@ -48,7 +48,7 @@ Graph demo_graph(bool simple) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  TaskPool::set_global_jobs(jobs_from_flag(args, TaskPool::hardware_jobs()));
+  TaskPool::set_global_jobs(jobs_from_args(args));
   const std::int64_t points = args.get_int("points", 8);
   const Graph g = demo_graph(args.has("demo-simple"));
 

@@ -1,13 +1,11 @@
 #include "src/analysis/cache.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "src/analysis/persistent_cache.h"
-#include "src/support/env.h"
 
 namespace sdfmap {
 
@@ -362,12 +360,6 @@ SelfTimedResult cached_self_timed_throughput(ThroughputCache* cache, CacheStats*
   SelfTimedResult result = entry.base;
   count_insert(stats, cache->insert(key, hash, std::move(entry)));
   return result;
-}
-
-bool cache_enabled_from_env(bool fallback) {
-  const ParsedEnvBool parsed = parse_env_cache(std::getenv("SDFMAP_CACHE"), fallback);
-  warn_env_once(parsed.diagnostic);
-  return parsed.value;
 }
 
 }  // namespace sdfmap

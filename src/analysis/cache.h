@@ -190,9 +190,4 @@ class ThroughputCache {
     ThroughputCache* cache, CacheStats* stats, const Graph& g, const RepetitionVector& gamma,
     const ExecutionLimits& limits = {}, const TraceObserver& observer = {});
 
-/// Reads the SDFMAP_CACHE environment variable: "1"/"on"/"true"/"yes" =>
-/// true, "0"/"off"/"false"/"no" => false, unset or unrecognized => fallback.
-/// CLI --cache/--no-cache flags override this.
-[[nodiscard]] bool cache_enabled_from_env(bool fallback);
-
 }  // namespace sdfmap

@@ -1,13 +1,10 @@
 #include "src/analysis/persistent_cache.h"
 
-#include <cstdlib>
-
-#include "src/analysis/cache.h"
 #include <cstring>
 #include <sstream>
 #include <utility>
 
-#include "src/support/env.h"
+#include "src/analysis/cache.h"
 
 namespace sdfmap {
 
@@ -473,12 +470,6 @@ PersistentCacheStats PersistentCache::stats() const {
 std::vector<DiskCacheEvent> PersistentCache::events() const {
   std::lock_guard<std::mutex> guard(mutex_);
   return events_;
-}
-
-std::string cache_dir_from_env(const std::string& fallback) {
-  const ParsedEnvDir parsed = parse_env_cache_dir(std::getenv("SDFMAP_CACHE_DIR"), fallback);
-  warn_env_once(parsed.diagnostic);
-  return parsed.dir;
 }
 
 std::shared_ptr<ThroughputCache> make_persistent_throughput_cache(const std::string& dir,

@@ -172,10 +172,6 @@ class PersistentCache {
   std::vector<DiskCacheEvent> events_;
 };
 
-/// Reads the SDFMAP_CACHE_DIR environment variable; empty/unset => fallback.
-/// CLI --cache-dir flags override this.
-[[nodiscard]] std::string cache_dir_from_env(const std::string& fallback = "");
-
 class ThroughputCache;
 
 /// Creates a ThroughputCache and, when `dir` is non-empty, attaches a

@@ -1,7 +1,15 @@
 #include "src/io/report.h"
 
+#include <chrono>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "src/analysis/persistent_cache.h"
+#include "src/lint/driver.h"
+#include "src/runtime/task_pool.h"
+#include "src/service/protocol.h"
+#include "src/support/env.h"
 
 namespace sdfmap {
 
@@ -129,6 +137,7 @@ int cli_exit_code(const std::exception& e) {
     }
   }
   if (dynamic_cast<const ThroughputError*>(&e)) return kCliAnalysisLimit;
+  if (dynamic_cast<const UsageError*>(&e)) return kCliUsageError;
   if (dynamic_cast<const std::invalid_argument*>(&e)) return kCliInvalidInput;
   return kCliInternalError;
 }
@@ -149,6 +158,74 @@ int cli_exit_code(const LintResult& result) {
   if (result.has_errors()) return kCliLintError;
   if (!result.clean()) return kCliLintWarnings;
   return kCliSuccess;
+}
+
+unsigned jobs_from_args(const CliArgs& args) {
+  return static_cast<unsigned>(
+      read_knob(Knob::kJobs, &args, std::to_string(TaskPool::hardware_jobs())).integer);
+}
+
+AllocateRequest allocate_request_from_args(const CliArgs& args) {
+  AllocateRequest request;
+  request.c1 = read_knob(Knob::kC1, &args).real;
+  request.c2 = read_knob(Knob::kC2, &args).real;
+  request.c3 = read_knob(Knob::kC3, &args).real;
+  request.deadline_ms = read_knob(Knob::kDeadlineMs, &args).integer;
+  request.per_check_ms = read_knob(Knob::kPerCheckMs, &args).integer;
+  request.degrade_to_conservative = read_knob(Knob::kNoDegrade, &args).integer == 0;
+  // The table admits only the backend names, so the lookup never misses.
+  const std::string backend = read_knob(Knob::kBackend, &args).text;
+  request.backend = static_cast<std::uint32_t>(
+      backend_from_name(backend).value_or(StrategyBackend::kHeuristic));
+  return request;
+}
+
+StrategyOptions strategy_options_from_request(const AllocateRequest& request) {
+  StrategyOptions options;
+  options.weights = {request.c1, request.c2, request.c3};
+  options.degrade_to_conservative = request.degrade_to_conservative;
+  options.backend = static_cast<StrategyBackend>(request.backend);  // decode bounds it to 0..2
+  return options;
+}
+
+StrategyOptions strategy_options_from_args(const CliArgs& args) {
+  const AllocateRequest request = allocate_request_from_args(args);
+  StrategyOptions options = strategy_options_from_request(request);
+  AnalysisBudget& budget = options.slices.limits.budget;
+  if (request.deadline_ms > 0) {
+    budget = AnalysisBudget::expiring_in(std::chrono::milliseconds(request.deadline_ms));
+  }
+  budget.set_per_check_timeout(std::chrono::milliseconds(request.per_check_ms));
+  options.solver_max_nodes =
+      static_cast<std::uint64_t>(read_knob(Knob::kSolverMaxNodes, &args).integer);
+  return options;
+}
+
+std::shared_ptr<ThroughputCache> throughput_cache_from_args(const CliArgs& args) {
+  if (read_knob(Knob::kCache, &args).integer == 0) return nullptr;
+  return make_persistent_throughput_cache(read_knob(Knob::kCacheDir, &args).text);
+}
+
+void report_throughput_cache(const std::shared_ptr<ThroughputCache>& cache) {
+  if (!cache) return;
+  cache->flush_persistent();
+  std::cerr << "throughput cache: " << cache->stats().summary() << "\n";
+  if (const auto disk = cache->persistent()) {
+    for (const DiskCacheEvent& event : disk->events()) {
+      std::cerr << "throughput cache disk " << disk_event_kind_name(event.kind) << ": "
+                << event.detail << "\n";
+    }
+  }
+}
+
+LintOptions lint_options_from_args(const CliArgs& args) {
+  LintOptions options;
+  const std::string level = read_knob(Knob::kLintLevel, &args).text;
+  options.min_severity = level == "error"     ? Severity::kError
+                         : level == "warning" ? Severity::kWarning
+                                              : Severity::kInfo;
+  options.deep_budget = lint_budget_from_ms(read_knob(Knob::kLintBudgetMs, &args).integer);
+  return options;
 }
 
 }  // namespace sdfmap

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "src/analysis/throughput.h"
@@ -7,8 +8,11 @@
 #include "src/lint/lint.h"
 #include "src/mapping/multi_app.h"
 #include "src/mapping/strategy.h"
+#include "src/support/cli.h"
 
 namespace sdfmap {
+
+struct AllocateRequest;  // src/service/protocol.h
 
 /// Human-readable rendering of a strategy result: outcome, achieved vs
 /// required throughput, per-tile binding/schedule/slice lines and the
@@ -45,7 +49,8 @@ enum CliExitCode : int {
   kCliInternalError = 70,    ///< unexpected exception
 };
 
-/// Maps a caught top-level exception to its CliExitCode (never kCliSuccess).
+/// Maps a caught top-level exception to its CliExitCode (never kCliSuccess);
+/// a UsageError maps to kCliUsageError.
 [[nodiscard]] int cli_exit_code(const std::exception& e);
 
 /// Maps a structured strategy failure to its CliExitCode.
@@ -56,5 +61,36 @@ enum CliExitCode : int {
 /// Distinct codes let scripts fail builds on errors while merely logging
 /// warning-only runs.
 [[nodiscard]] int cli_exit_code(const LintResult& result);
+
+// Typed builders over the knob table (src/support/env.h), shared by every
+// front end. Rejected values warn once and the default applies; an unknown
+// --backend or --lint-level throws UsageError.
+
+/// --jobs / SDFMAP_JOBS, defaulting to TaskPool::hardware_jobs().
+[[nodiscard]] unsigned jobs_from_args(const CliArgs& args);
+
+/// --c1..--c3, --deadline-ms, --per-check-ms, --no-degrade and --backend as
+/// the wire carries them (app and platform texts left empty).
+[[nodiscard]] AllocateRequest allocate_request_from_args(const CliArgs& args);
+
+/// Weights, degradation and backend of a request; the caller owns the budget.
+/// Shared by the one-shot CLIs and Server::handle_allocate.
+[[nodiscard]] StrategyOptions strategy_options_from_request(const AllocateRequest& request);
+
+/// The request's options plus the --deadline-ms / --per-check-ms budget and
+/// --solver-max-nodes.
+[[nodiscard]] StrategyOptions strategy_options_from_args(const CliArgs& args);
+
+/// --cache / --no-cache / SDFMAP_CACHE (null when off), with the persistent
+/// store of --cache-dir / SDFMAP_CACHE_DIR when one is named.
+[[nodiscard]] std::shared_ptr<ThroughputCache> throughput_cache_from_args(
+    const CliArgs& args);
+
+/// Flushes `cache` (null: no-op) and prints its statistics and store events
+/// to stderr: hit counts are run-dependent, so never stdout.
+void report_throughput_cache(const std::shared_ptr<ThroughputCache>& cache);
+
+/// --lint-level and --lint-budget-ms / SDFMAP_LINT_BUDGET_MS.
+[[nodiscard]] LintOptions lint_options_from_args(const CliArgs& args);
 
 }  // namespace sdfmap

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -10,7 +9,6 @@
 #include "src/io/app_format.h"
 #include "src/io/mapping_format.h"
 #include "src/io/text_format.h"
-#include "src/support/env.h"
 
 namespace sdfmap {
 
@@ -71,13 +69,6 @@ LintResult parse_failure(const std::string& file, const ParseError& e,
 }
 
 }  // namespace
-
-std::int64_t lint_budget_ms_from_env(std::int64_t fallback) {
-  const ParsedEnvLintBudget parsed =
-      parse_env_lint_budget(std::getenv("SDFMAP_LINT_BUDGET_MS"), fallback);
-  warn_env_once(parsed.diagnostic);
-  return parsed.budget_ms;
-}
 
 AnalysisBudget lint_budget_from_ms(std::int64_t budget_ms) {
   if (budget_ms < 0) return {};

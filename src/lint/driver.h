@@ -48,12 +48,6 @@ namespace sdfmap {
 /// extensions minus .sdfmapping).
 [[nodiscard]] bool lintable_text_extension(const std::string& path);
 
-/// Reads SDFMAP_LINT_BUDGET_MS through the hardened parser (src/support/env.h,
-/// one stderr warning per distinct bad value). Returns `fallback` when the
-/// variable is unset or invalid; callers pass -1 for "no budget". A
-/// --lint-budget-ms CLI flag takes precedence over the environment.
-[[nodiscard]] std::int64_t lint_budget_ms_from_env(std::int64_t fallback);
-
 /// LintOptions::deep_budget from a resolved millisecond count: negative =
 /// unlimited (deep rules run to completion), 0 = already expired (every deep
 /// rule degrades to its advisory form, deterministically), positive = a

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "src/analysis/persistent_cache.h"
 #include "src/lint/lint.h"
 #include "src/mapping/binder.h"
 #include "src/mapping/list_scheduler.h"
@@ -253,21 +252,9 @@ FailureKind failure_kind_of(const AnalysisError& e) {
 StrategyResult allocate_resources(const ApplicationGraph& app, const Architecture& arch,
                                   const StrategyOptions& options) {
   const auto t0 = std::chrono::steady_clock::now();
-  // Materialize the persistent tier requested via cache_dir. Attachment never
-  // throws; a broken store leaves a working memory-only cache.
-  StrategyOptions effective = options;
-  if (!effective.cache_dir.empty()) {
-    if (!effective.cache) {
-      effective.cache = make_persistent_throughput_cache(effective.cache_dir);
-    } else if (!effective.cache->persistent()) {
-      PersistentCacheOptions store;
-      store.dir = effective.cache_dir;
-      effective.cache->attach_persistent(std::make_shared<PersistentCache>(std::move(store)));
-    }
-  }
   try {
-    StrategyResult result = allocate_resources_impl(app, arch, effective);
-    if (effective.cache) effective.cache->flush_persistent();
+    StrategyResult result = allocate_resources_impl(app, arch, options);
+    if (options.cache) options.cache->flush_persistent();
     return result;
   } catch (const AnalysisError& e) {
     StrategyResult result;

@@ -111,16 +111,6 @@ struct StrategyOptions {
   /// (results are pure functions of the cached fingerprint). Accounting lands
   /// in StrategyResult::diagnostics.cache. Null = no caching.
   std::shared_ptr<ThroughputCache> cache;
-  /// Directory of a persistent throughput-check store (--cache-dir /
-  /// SDFMAP_CACHE_DIR; see src/analysis/persistent_cache.h and docs/CACHE.md)
-  /// so repeated runs warm-start from each other's checks. When `cache` is
-  /// null a run-local cache is created around the store; when `cache` is set
-  /// the store is attached to it (shared sweeps should instead attach once
-  /// via make_persistent_throughput_cache and leave this empty). Disk
-  /// problems — torn writes, corruption, version skew, I/O faults — never
-  /// fail the run: the cache degrades to its in-memory tier and the events
-  /// land in the stderr-side cache statistics. Empty = in-memory only.
-  std::string cache_dir;
 };
 
 /// Complete result of the three-step strategy for one application.

@@ -1,6 +1,5 @@
 #include "src/runtime/task_pool.h"
 
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 
@@ -27,9 +26,7 @@ GlobalPoolState& global_state() {
 }
 
 unsigned jobs_from_environment() {
-  const ParsedEnvJobs parsed = parse_env_jobs(std::getenv("SDFMAP_JOBS"), 1);
-  warn_env_once(parsed.diagnostic);
-  return parsed.jobs;
+  return static_cast<unsigned>(read_knob(Knob::kJobs).integer);
 }
 
 }  // namespace

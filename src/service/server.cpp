@@ -573,11 +573,8 @@ ResultResponse Server::handle_allocate(const AllocateRequest& request,
     throw std::invalid_argument(detail);
   }
 
-  StrategyOptions options;
-  options.weights = {request.c1, request.c2, request.c3};
+  StrategyOptions options = strategy_options_from_request(request);
   options.slices.limits.budget = budget;
-  options.degrade_to_conservative = request.degrade_to_conservative;
-  options.backend = static_cast<StrategyBackend>(request.backend);  // decode bounds it to 0..2
   options.cache = cache_;
 
   const StrategyResult r = allocate_resources(app, arch, options);

@@ -1,80 +1,78 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/support/cli.h"
 
 namespace sdfmap {
 
-/// Outcome of parsing one SDFMAP_* environment variable: the value to use
-/// plus an optional one-line diagnostic. Garbage or out-of-range input never
-/// aborts and never silently changes behavior — the fallback is used and
-/// `diagnostic` carries exactly one deterministic message (empty when the
-/// input was absent or valid). The parse functions are pure so unit tests can
-/// pin the exact wording; the CLIs and library surface the message through
-/// warn_env_once, which prints each distinct diagnostic to stderr at most
-/// once per process.
-struct EnvParseResult {
-  std::string value;       ///< canonical string form of the value in effect
-  std::string diagnostic;  ///< "" when the input was absent or valid
-  bool used_fallback = false;
+/// The knobs every front end shares (the table in docs/RUNTIME.md). Each one
+/// is parsed by one resolver over one table row, so a knob has the same
+/// grammar, range, default and diagnostic on every binary and in the library.
+enum class Knob : std::uint8_t {
+  kJobs, kCache, kCacheDir, kDeadlineMs, kPerCheckMs, kLintBudgetMs, kLintLevel,
+  kBackend, kSolverMaxNodes, kNoDegrade, kC1, kC2, kC3
 };
 
-/// SDFMAP_JOBS: a positive integer up to kMaxEnvJobs. Unset/empty uses the
-/// fallback silently; anything non-numeric, with trailing characters, zero,
-/// negative, or above the bound uses the fallback with a diagnostic.
-inline constexpr long kMaxEnvJobs = 1024;
-
-struct ParsedEnvJobs {
-  unsigned jobs;
-  std::string diagnostic;
+enum class KnobGrammar : std::uint8_t {
+  kInteger,  ///< a decimal integer in [min, max]
+  kBool,     ///< 1|on|true|yes or 0|off|false|no; a bare flag is on
+  kPath,     ///< any string that is not all whitespace
+  kReal,     ///< a finite decimal number
+  kChoice,   ///< one of the '|'-separated words of `expected`
 };
-[[nodiscard]] ParsedEnvJobs parse_env_jobs(const char* value, unsigned fallback);
 
-/// --jobs / -j of the front ends: the SDFMAP_JOBS grammar and range, with the
-/// diagnostic naming the flag. An absent or empty flag uses the fallback
-/// silently.
-[[nodiscard]] ParsedEnvJobs parse_jobs_flag(const CliArgs& args, unsigned fallback);
-
-/// parse_jobs_flag plus warn_env_once: the level a front end hands to
-/// TaskPool::set_global_jobs.
-[[nodiscard]] unsigned jobs_from_flag(const CliArgs& args, unsigned fallback);
-
-/// SDFMAP_CACHE: 1/on/true/yes or 0/off/false/no (case-sensitive, matching
-/// the documented spelling). Unset uses the fallback silently; any other
-/// value uses the fallback with a diagnostic.
-struct ParsedEnvBool {
-  bool value;
-  std::string diagnostic;
+/// One row of the knob table.
+struct KnobRow {
+  Knob knob;
+  const char* flag;      ///< flag name without the leading "--"
+  const char* negation;  ///< flag turning a kBool row off ("no-cache"), or nullptr
+  const char* env;       ///< SDFMAP_* variable, or nullptr
+  KnobGrammar grammar;
+  std::int64_t min;      ///< inclusive range of a kInteger row
+  std::int64_t max;
+  const char* expected;  ///< the grammar in the diagnostic's words
+  const char* fallback;  ///< the default, spelled canonically ("" = none)
 };
-[[nodiscard]] ParsedEnvBool parse_env_cache(const char* value, bool fallback);
 
-/// SDFMAP_CACHE_DIR: any non-blank path. Unset/empty uses the fallback
-/// silently; a whitespace-only value (almost certainly a quoting accident
-/// that would create a directory literally named " ") uses the fallback with
-/// a diagnostic.
-struct ParsedEnvDir {
-  std::string dir;
-  std::string diagnostic;
+[[nodiscard]] const std::vector<KnobRow>& knob_table();
+[[nodiscard]] const KnobRow& knob_row(Knob knob);
+
+/// The value of one knob after resolution.
+struct KnobValue {
+  std::string text;          ///< canonical spelling of the value in effect
+  std::int64_t integer = 0;  ///< kInteger value; kBool as 0 or 1
+  double real = 0;           ///< kReal value
+  std::string diagnostic;    ///< one line when a given value was rejected, else ""
 };
-[[nodiscard]] ParsedEnvDir parse_env_cache_dir(const char* value, const std::string& fallback);
 
-/// SDFMAP_LINT_BUDGET_MS: the wall-clock budget of the deep (analysis-backed)
-/// lint feasibility rules, in milliseconds, up to kMaxEnvLintBudgetMs. 0 is an
-/// already-expired budget: every deep rule degrades to its advisory form
-/// deterministically. Unset/empty uses the fallback silently (the callers
-/// pass -1 = unlimited); anything non-numeric, with trailing characters,
-/// negative, or above the bound uses the fallback with a diagnostic. A
-/// --lint-budget-ms CLI flag overrides this.
-inline constexpr long kMaxEnvLintBudgetMs = 86400000;  // one day
-
-struct ParsedEnvLintBudget {
-  std::int64_t budget_ms;
-  std::string diagnostic;
+/// A kChoice knob (--backend, --lint-level) got a value outside its choices.
+/// Front ends map it to the usage exit code (2) instead of guessing.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
-[[nodiscard]] ParsedEnvLintBudget parse_env_lint_budget(const char* value,
-                                                        std::int64_t fallback);
+
+/// Resolves `knob`: its flag in `args` (null = no flags) beats `env_value`
+/// (the variable's value, null = unset) beats `fallback` (the row's default
+/// when absent). Empty values count as absent. A value outside its grammar
+/// or range never aborts: the default applies and `diagnostic` carries one
+/// message of a fixed shape naming its source, e.g.
+///   sdfmap: warning: ignoring invalid --jobs value "0" (expected an integer
+///   in [1, 1024]); using 4
+/// A flag that fails is not retried from the environment. Pure, so tests pin
+/// the wording. Throws UsageError for a kChoice value outside its choices.
+[[nodiscard]] KnobValue resolve_knob(Knob knob, const CliArgs* args, const char* env_value,
+                                     const std::optional<std::string>& fallback = std::nullopt);
+
+/// resolve_knob over the process environment, with the diagnostic printed
+/// through warn_env_once. The one place SDFMAP_* variables are read.
+[[nodiscard]] KnobValue read_knob(Knob knob, const CliArgs* args = nullptr,
+                                  const std::optional<std::string>& fallback = std::nullopt);
 
 /// Prints `diagnostic` to stderr, at most once per distinct message per
 /// process (a sweep that re-reads SDFMAP_JOBS per run must not spam one

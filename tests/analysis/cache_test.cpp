@@ -16,6 +16,7 @@
 
 #include "src/analysis/error.h"
 #include "src/sdf/builder.h"
+#include "src/support/env.h"
 
 namespace sdfmap {
 namespace {
@@ -463,7 +464,11 @@ TEST(CachedExecution, CancelledCheckNeverPoisonsTheCache) {
 // ---- Environment toggle --------------------------------------------------
 
 TEST(CacheEnv, ParsesOnOffSpellingsAndFallsBack) {
-  const auto with_env = [](const char* value, bool fallback) {
+  // The cache row of the knob table, read from the real environment.
+  const auto cache_enabled_from_env = [](bool fallback) {
+    return read_knob(Knob::kCache, nullptr, std::string(fallback ? "on" : "off")).integer != 0;
+  };
+  const auto with_env = [&](const char* value, bool fallback) {
     setenv("SDFMAP_CACHE", value, 1);
     const bool enabled = cache_enabled_from_env(fallback);
     unsetenv("SDFMAP_CACHE");

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/analysis/cache.h"
+#include "src/support/env.h"
 #include "src/support/file_io.h"
 
 namespace sdfmap {
@@ -532,6 +533,10 @@ TEST(PersistentCacheTest, CacheStatsSummaryReportsDiskTier) {
 }
 
 TEST(PersistentCacheTest, CacheDirFromEnvFallback) {
+  // The cache-dir row of the knob table, read from the real environment.
+  const auto cache_dir_from_env = [](const std::string& fallback = "") {
+    return read_knob(Knob::kCacheDir, nullptr, fallback).text;
+  };
   ::unsetenv("SDFMAP_CACHE_DIR");
   EXPECT_EQ(cache_dir_from_env(), "");
   EXPECT_EQ(cache_dir_from_env("/fallback"), "/fallback");

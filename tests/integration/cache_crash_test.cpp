@@ -156,7 +156,7 @@ TEST(CacheCrashTest, AllocationsIdenticalAfterSurvivingACrash) {
   // The crashed store (foreign synthetic records + torn tail) backs a real
   // allocation: same result as without any cache.
   StrategyOptions options;
-  options.cache_dir = dir;
+  options.cache = make_persistent_throughput_cache(dir);
   const StrategyResult r = allocate_resources(app, arch, options);
   ASSERT_TRUE(r.success);
   EXPECT_EQ(r.achieved_throughput, baseline.achieved_throughput);
@@ -176,6 +176,8 @@ TEST(CacheCrashTest, AllocationsIdenticalAfterSurvivingACrash) {
   EXPECT_EQ(bind_a.str(), bind_b.str());
 
   // And a second, now-warm run over the healed store is identical again.
+  options.cache.reset();  // release the writer lock before reopening
+  options.cache = make_persistent_throughput_cache(dir);
   const StrategyResult warm = allocate_resources(app, arch, options);
   EXPECT_EQ(warm.achieved_throughput, baseline.achieved_throughput);
   EXPECT_EQ(warm.slices, baseline.slices);

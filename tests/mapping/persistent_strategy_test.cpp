@@ -67,33 +67,23 @@ TEST_F(PersistentStrategyTest, ColdWarmAndNoCacheAllocationsIdentical) {
   ASSERT_TRUE(baseline.success) << baseline.failure_reason;
 
   const std::string dir = make_temp_dir() + "/store";
-  StrategyOptions with_dir;
-  with_dir.cache_dir = dir;
-  const StrategyResult cold = allocate_resources(app_, arch_, with_dir);
+  // A fresh cache per run, so the warm run can only hit through the store.
+  const auto with_store = [&dir] {
+    StrategyOptions options;
+    options.cache = make_persistent_throughput_cache(dir);
+    return options;
+  };
+  const StrategyResult cold = allocate_resources(app_, arch_, with_store());
   EXPECT_EQ(fp(cold), fp(baseline));
   EXPECT_TRUE(cold.diagnostics.cache.disk_attached);
   EXPECT_GT(cold.diagnostics.cache.inserts, 0);
 
-  const StrategyResult warm = allocate_resources(app_, arch_, with_dir);
+  const StrategyResult warm = allocate_resources(app_, arch_, with_store());
   EXPECT_EQ(fp(warm), fp(baseline));
   EXPECT_TRUE(warm.diagnostics.cache.disk_attached);
   // Every check of the deterministic repeat was salvaged from the store.
   EXPECT_GT(warm.diagnostics.cache.disk_hits, 0);
   EXPECT_EQ(warm.diagnostics.cache.misses, 0);
-}
-
-TEST_F(PersistentStrategyTest, ExplicitCacheBeatsCacheDirButGainsAStore) {
-  // When both `cache` and `cache_dir` are set, the provided cache is kept and
-  // a store is attached to it.
-  const std::string dir = make_temp_dir() + "/store";
-  StrategyOptions options;
-  options.cache = std::make_shared<ThroughputCache>();
-  options.cache_dir = dir;
-  const StrategyResult first = allocate_resources(app_, arch_, options);
-  ASSERT_TRUE(first.success);
-  ASSERT_NE(options.cache->persistent(), nullptr);
-  EXPECT_EQ(options.cache->persistent()->dir(), dir);
-  EXPECT_GT(options.cache->persistent()->stats().appended_records, 0);
 }
 
 TEST_F(PersistentStrategyTest, EveryInjectedFaultKeepsAllocationIdentical) {
@@ -105,7 +95,7 @@ TEST_F(PersistentStrategyTest, EveryInjectedFaultKeepsAllocationIdentical) {
   const std::string dir = make_temp_dir() + "/store";
   {
     StrategyOptions options;
-    options.cache_dir = dir;
+    options.cache = make_persistent_throughput_cache(dir);
     ASSERT_TRUE(allocate_resources(app_, arch_, options).success);
   }
   int total_calls = 0;
@@ -145,7 +135,7 @@ TEST_F(PersistentStrategyTest, EveryInjectedFaultKeepsAllocationIdentical) {
 
   // The battered store still warm-starts a clean run bit-exactly.
   StrategyOptions options;
-  options.cache_dir = dir;
+  options.cache = make_persistent_throughput_cache(dir);
   const StrategyResult after = allocate_resources(app_, arch_, options);
   EXPECT_EQ(fp(after), expected);
 }
@@ -209,7 +199,7 @@ TEST_F(PersistentStrategyTest, WriterElectionPassesToNextOpenerAfterRelease) {
   const std::string dir = make_temp_dir() + "/store";
   {
     StrategyOptions options;
-    options.cache_dir = dir;
+    options.cache = make_persistent_throughput_cache(dir);
     ASSERT_TRUE(allocate_resources(app_, arch_, options).success);
   }  // the first writer's lock is released with the cache
 
@@ -227,10 +217,11 @@ TEST_F(PersistentStrategyTest, WriterElectionPassesToNextOpenerAfterRelease) {
 }
 
 TEST_F(PersistentStrategyTest, UnwritableCacheDirDegradesSilently) {
-  // A cache_dir that cannot be created must never fail the allocation.
+  // A store directory that cannot be created must never fail the allocation.
   const StrategyResult baseline = allocate_resources(app_, arch_, {});
   StrategyOptions options;
-  options.cache_dir = "/proc/sdfmap-definitely-not-writable/store";
+  options.cache =
+      make_persistent_throughput_cache("/proc/sdfmap-definitely-not-writable/store");
   const StrategyResult r = allocate_resources(app_, arch_, options);
   EXPECT_EQ(fp(r), fp(baseline));
 }
