@@ -19,9 +19,10 @@ std::vector<std::string> recorded_table() {
 }
 
 // The table in engine_fingerprints.txt was recorded before the engines were
-// compiled to flat port arrays; any rewrite of either engine must reproduce
-// every line of it exactly — the same verdicts, periods, state counts,
-// occupancies, schedules and error messages.
+// compiled to flat port arrays, and its appended observer and edge-graph
+// lines before the fixpoint became event-driven; any rewrite of either engine
+// must reproduce every line of it exactly — the same verdicts, periods, state
+// counts, occupancies, schedules, error messages and per-instant event order.
 TEST(EngineFingerprint, EnginesReproduceTheRecordedTable) {
   const std::vector<std::string> expected = recorded_table();
   ASSERT_GE(expected.size(), 150u) << "missing or truncated " << SDFMAP_ENGINE_FINGERPRINTS;
