@@ -6,6 +6,7 @@
 #include "src/analysis/port_table.h"
 #include "src/analysis/remaining_multiset.h"
 #include "src/analysis/state_hash.h"
+#include "src/support/rational.h"
 
 namespace sdfmap {
 
@@ -13,23 +14,24 @@ std::int64_t completion_time(std::int64_t now, std::int64_t remaining, std::int6
                              std::int64_t slice, std::int64_t offset) {
   if (remaining <= 0) return now;
   if (slice <= 0) return kNeverCompletes;
-  if (slice >= wheel) return now + remaining;
+  if (slice >= wheel) return checked_add(now, remaining);
   // Work in shifted coordinates where the slice occupies phases [0, slice);
-  // adding one wheel keeps the shifted time non-negative.
+  // adding one wheel keeps the shifted time non-negative. The additions that
+  // can leave the int64 range are checked and throw std::overflow_error.
   const std::int64_t shift = ((offset % wheel) + wheel) % wheel;
-  std::int64_t t = now - shift + wheel;
+  std::int64_t t = checked_add(now - shift, wheel);
   std::int64_t r = remaining;
   const std::int64_t phase = t % wheel;
   if (phase < slice) {
     const std::int64_t avail = slice - phase;
-    if (r <= avail) return t + r + shift - wheel;
+    if (r <= avail) return checked_add(t, r) - (wheel - shift);
     r -= avail;
   }
-  t += wheel - phase;  // start of the next slice window
+  t = checked_add(t, wheel - phase);  // start of the next slice window
   const std::int64_t full = (r - 1) / slice;
-  t += full * wheel;
+  t = checked_add(t, checked_mul(full, wheel));
   r -= full * slice;
-  return t + r + shift - wheel;
+  return checked_add(t, r) - (wheel - shift);
 }
 
 std::int64_t slice_time_between(std::int64_t from, std::int64_t to, std::int64_t wheel,
@@ -51,6 +53,17 @@ namespace {
 /// is compiled to a PortTable and the interconnect actors to one list before
 /// the run starts; the loops below never touch Actor/Channel objects again
 /// except to name a diverging channel.
+///
+/// The fixpoint at one instant is event-driven: each pass visits only the
+/// actors and tiles in its dirty sets, in ascending index order, which hold
+/// every one a full rescan would find something to do for. Token production
+/// marks the consumers (an interconnect actor, or the tile of a tile-bound
+/// actor and, in list mode, the actor's ready-list refresh); completions mark
+/// the firing's actor or tile. An actor whose starts or claims the token cap
+/// bounded stays marked, which keeps actors without input ports (always
+/// enabled up to the cap) re-examined on every pass. So every pass ends and
+/// starts the same firings in the same order as a rescan, and the passes,
+/// budget polls and caps are unchanged.
 class ConstrainedExecutor {
  public:
   ConstrainedExecutor(const Graph& g, const RepetitionVector& gamma,
@@ -76,7 +89,9 @@ class ConstrainedExecutor {
     /// ungated and skips the wheel arithmetic.
     bool gated = true;
     std::uint32_t firing_actor = 0;
-    std::int64_t remaining = 0;      // work units left of the active firing
+    /// Absolute completion time of the active firing, computed once when it
+    /// starts (kNeverCompletes on a zero slice).
+    std::int64_t done_at = 0;
     std::size_t schedule_pos = 0;    // static mode
     /// List mode FIFO: the queued firings are ready[ready_head..].
     std::vector<std::uint32_t> ready;
@@ -134,6 +149,19 @@ class ConstrainedExecutor {
     }
   }
 
+  /// Marks the consumers of `a`'s output channels after it produced tokens.
+  void mark_consumers(std::uint32_t a) {
+    for (const PortTable::Port& p : ports_.outputs(a)) {
+      const std::int32_t t = spec_.actor_tile[p.peer];
+      if (t == kUnscheduled) {
+        enabled_.insert(p.peer);
+      } else {
+        tile_ready_.insert(static_cast<std::uint32_t>(t));
+        if (mode_ == SchedulingMode::kListScheduling) refresh_.insert(p.peer);
+      }
+    }
+  }
+
   /// Firings of `a` its input tokens enable, capped at `cap`.
   std::int64_t enabled_firings(std::uint32_t a, std::int64_t cap) const {
     for (const PortTable::Port& p : ports_.inputs(a)) {
@@ -144,36 +172,34 @@ class ConstrainedExecutor {
   }
 
   void init_state() {
+    const std::size_t num_actors = g_.num_actors();
     tokens_.resize(g_.num_channels());
     for (std::size_t i = 0; i < g_.num_channels(); ++i) {
       tokens_[i] = g_.channels()[i].initial_tokens;
     }
     max_tokens_ = tokens_;
     tiles_.assign(spec_.tiles.size(), {});
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+    tile_ready_ = DirtySet(tiles_.size());
+    tile_done_ = DirtySet(tiles_.size());
+    for (std::uint32_t t = 0; t < tiles_.size(); ++t) {
       tiles_[t].gated = spec_.tiles[t].slice < spec_.tiles[t].wheel_size;
+      tile_ready_.insert(t);
     }
-    for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
-      (spec_.actor_tile[a] == kUnscheduled ? unscheduled_ : scheduled_).push_back(a);
-    }
-    unscheduled_remaining_.assign(unscheduled_.size(), {});
-    pending_claims_.assign(g_.num_actors(), 0);
-    fire_count_.assign(g_.num_actors(), 0);
-    recorded_starts_.assign(spec_.tiles.size(), {});
-  }
-
-  /// List mode: enqueue newly enabled firing instances of every tile actor.
-  /// A queued instance claims tokens it has not consumed yet, so the number
-  /// of queued instances per actor never exceeds min_c floor(tokens/rate).
-  void refresh_ready_lists() {
-    for (const std::uint32_t a : scheduled_) {
-      const std::int64_t enabled = enabled_firings(a, limits_.max_tokens_per_channel);
-      TileState& ts = tiles_[static_cast<std::size_t>(spec_.actor_tile[a])];
-      for (std::int64_t i = pending_claims_[a]; i < enabled; ++i) {
-        ts.ready.push_back(a);
-        ++pending_claims_[a];
+    enabled_ = DirtySet(num_actors);
+    ended_ = DirtySet(num_actors);
+    refresh_ = DirtySet(mode_ == SchedulingMode::kListScheduling ? num_actors : 0);
+    for (std::uint32_t a = 0; a < num_actors; ++a) {
+      if (spec_.actor_tile[a] == kUnscheduled) {
+        unscheduled_.push_back(a);
+        enabled_.insert(a);
+      } else if (mode_ == SchedulingMode::kListScheduling) {
+        refresh_.insert(a);
       }
     }
+    remaining_.assign(num_actors, {});
+    pending_claims_.assign(num_actors, 0);
+    fire_count_.assign(num_actors, 0);
+    recorded_starts_.assign(spec_.tiles.size(), {});
   }
 
   /// List mode: dequeues the oldest ready firing of a non-empty list. The
@@ -192,6 +218,16 @@ class ConstrainedExecutor {
     return a;
   }
 
+  /// In-slice work left of tile t's active firing at now_.
+  std::int64_t remaining_work(std::size_t t) const {
+    const TileState& ts = tiles_[t];
+    if (ts.done_at == kNeverCompletes) return ports_.execution_time[ts.firing_actor];
+    if (!ts.gated) return ts.done_at - now_;
+    const TdmaTileSpec& tile = spec_.tiles[t];
+    return slice_time_between(now_, ts.done_at, tile.wheel_size, tile.slice,
+                              tile.slice_offset);
+  }
+
   /// Serializes the extended state into a caller-owned key, reusing its word
   /// storage (see ExecState::encode_key in state_space.cpp: on a map hit the
   /// buffer survives, so steady-state sampling allocates nothing).
@@ -202,7 +238,7 @@ class ConstrainedExecutor {
     for (std::size_t t = 0; t < tiles_.size(); ++t) {
       const TileState& ts = tiles_[t];
       key.words.push_back(ts.busy ? static_cast<std::int64_t>(ts.firing_actor) : -1);
-      key.words.push_back(ts.busy ? ts.remaining : -1);
+      key.words.push_back(ts.busy ? remaining_work(t) : -1);
       key.words.push_back(static_cast<std::int64_t>(ts.schedule_pos));
       key.words.push_back(now_ % spec_.tiles[t].wheel_size);  // wheel phase
       if (mode_ == SchedulingMode::kListScheduling) {
@@ -212,7 +248,7 @@ class ConstrainedExecutor {
                          ts.ready.end());
       }
     }
-    for (const RemainingMultiset& rem : unscheduled_remaining_) rem.encode(key.words);
+    for (const std::uint32_t a : unscheduled_) remaining_[a].encode(key.words);
   }
 
   const Graph& g_;
@@ -228,12 +264,18 @@ class ConstrainedExecutor {
   std::vector<std::int64_t> tokens_;
   std::vector<std::int64_t> max_tokens_;
   std::vector<TileState> tiles_;
-  std::vector<std::uint32_t> unscheduled_;  // interconnect actors, ascending
-  std::vector<std::uint32_t> scheduled_;    // tile-bound actors, ascending
-  std::vector<RemainingMultiset> unscheduled_remaining_;  // parallel to unscheduled_
-  std::vector<std::int64_t> pending_claims_;                      // list mode, per actor
+  std::vector<std::uint32_t> unscheduled_;      // interconnect actors, ascending
+  std::vector<RemainingMultiset> remaining_;    // per actor; used for interconnect actors
+  std::vector<std::int64_t> pending_claims_;    // list mode, per actor
   std::vector<std::int64_t> fire_count_;
-  std::vector<std::vector<ActorId>> recorded_starts_;             // list mode, per tile
+  std::vector<std::vector<ActorId>> recorded_starts_;  // list mode, per tile
+
+  // Worklists of the fixpoint passes (see the class comment).
+  DirtySet ended_;       // interconnect actors with firings at zero remaining
+  DirtySet enabled_;     // interconnect actors whose inputs gained tokens
+  DirtySet refresh_;     // list mode: tile actors whose enabled count may have grown
+  DirtySet tile_done_;   // tiles whose active firing completes now
+  DirtySet tile_ready_;  // tiles that may be able to start a firing
 };
 
 ConstrainedResult ConstrainedExecutor::run() {
@@ -263,6 +305,7 @@ ConstrainedResult ConstrainedExecutor::run() {
   if (!have_ref) return result;
   std::int64_t sampled_ref_fires = -1;
   std::uint64_t steps = 0;
+  const std::int64_t cap = limits_.max_tokens_per_channel;
 
   // Pre-size the sampled-state map from the repetition vector (≈ γ(ref)
   // samples per iteration, capped) and keep one scratch key plus one
@@ -286,71 +329,93 @@ ConstrainedResult ConstrainedExecutor::run() {
     while (changed) {
       changed = false;
       // End unscheduled firings that have completed.
-      for (std::size_t i = 0; i < unscheduled_.size(); ++i) {
-        RemainingMultiset& rem = unscheduled_remaining_[i];
+      ended_.drain([&](std::uint32_t a) {
+        RemainingMultiset& rem = remaining_[a];
         const std::int64_t ended = rem.zero_count();
-        if (ended == 0) continue;
-        const std::uint32_t a = unscheduled_[i];
+        if (ended == 0) return;
         rem.pop_zeros();
         for (std::int64_t k = 0; k < ended; ++k) produce_outputs(a);
+        mark_consumers(a);
         fire_count_[a] += ended;
         if (observer_) event.ended.insert(event.ended.end(), ended, ActorId{a});
         changed = true;
         instant_events += static_cast<std::uint64_t>(ended);
-      }
+      });
       // End tile firings that have completed.
-      for (TileState& ts : tiles_) {
-        if (ts.busy && ts.remaining == 0) {
-          ts.busy = false;
-          produce_outputs(ts.firing_actor);
-          ++fire_count_[ts.firing_actor];
-          if (observer_) event.ended.push_back(ActorId{ts.firing_actor});
-          changed = true;
-          ++instant_events;
-        }
-      }
+      tile_done_.drain([&](std::uint32_t t) {
+        TileState& ts = tiles_[t];
+        ts.busy = false;
+        produce_outputs(ts.firing_actor);
+        mark_consumers(ts.firing_actor);
+        ++fire_count_[ts.firing_actor];
+        tile_ready_.insert(t);
+        if (observer_) event.ended.push_back(ActorId{ts.firing_actor});
+        changed = true;
+        ++instant_events;
+      });
       // Start unscheduled firings (self-timed).
-      for (std::size_t i = 0; i < unscheduled_.size(); ++i) {
-        const std::uint32_t a = unscheduled_[i];
-        const std::int64_t started = enabled_firings(a, limits_.max_tokens_per_channel);
-        if (started == 0) continue;
+      enabled_.drain([&](std::uint32_t a) {
+        const std::int64_t started = enabled_firings(a, cap);
+        if (started == 0) return;
         for (const PortTable::Port& p : ports_.inputs(a)) {
           tokens_[p.channel] -= p.rate * started;
         }
-        unscheduled_remaining_[i].add(ports_.execution_time[a], started);
+        remaining_[a].add(ports_.execution_time[a], started);
+        if (ports_.execution_time[a] == 0) ended_.insert(a);
+        if (started == cap) enabled_.insert(a);  // capped: more may be enabled
         if (observer_) event.started.insert(event.started.end(), started, ActorId{a});
         changed = true;
         instant_events += static_cast<std::uint64_t>(started);
-      }
+      });
+      // List mode: enqueue newly enabled firing instances of tile actors. A
+      // queued instance claims tokens it has not consumed yet, so the number
+      // of queued instances per actor never exceeds min_c floor(tokens/rate).
+      refresh_.drain([&](std::uint32_t a) {
+        const std::int64_t enabled = enabled_firings(a, cap);
+        if (pending_claims_[a] >= enabled) return;
+        const auto t = static_cast<std::uint32_t>(spec_.actor_tile[a]);
+        tiles_[t].ready.insert(tiles_[t].ready.end(),
+                               static_cast<std::size_t>(enabled - pending_claims_[a]), a);
+        pending_claims_[a] = enabled;
+        tile_ready_.insert(t);
+      });
       // Start tile firings.
-      if (mode_ == SchedulingMode::kListScheduling) refresh_ready_lists();
-      for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      tile_ready_.drain([&](std::uint32_t t) {
         TileState& ts = tiles_[t];
-        if (ts.busy) continue;
+        if (ts.busy) return;
         std::uint32_t a = 0;
         if (mode_ == SchedulingMode::kStaticOrder) {
           const StaticOrderSchedule& sched = spec_.tiles[t].schedule;
-          if (ts.schedule_pos >= sched.size()) continue;
+          if (ts.schedule_pos >= sched.size()) return;
           a = sched.firings[ts.schedule_pos].value;
-          if (!tokens_available(a)) continue;
+          if (!tokens_available(a)) return;
           ts.schedule_pos = sched.next(ts.schedule_pos);
         } else {
-          if (ts.ready_head == ts.ready.size()) continue;
+          if (ts.ready_head == ts.ready.size()) return;
           a = pop_ready(ts);
           --pending_claims_[a];
           if (!tokens_available(a)) {
             throw std::logic_error("execute_constrained: ready-list claim without tokens");
           }
           recorded_starts_[t].push_back(ActorId{a});
+          // Its enabled count drops with the consumed tokens unless the
+          // token cap bounds it (always so without input ports), so the
+          // next refresh re-checks it.
+          refresh_.insert(a);
         }
         consume_inputs(a);
         ts.busy = true;
         ts.firing_actor = a;
-        ts.remaining = ports_.execution_time[a];
+        const TdmaTileSpec& tile = spec_.tiles[t];
+        const std::int64_t work = ports_.execution_time[a];
+        ts.done_at = ts.gated ? completion_time(now_, work, tile.wheel_size, tile.slice,
+                                                tile.slice_offset)
+                              : checked_add(now_, work);
+        if (ts.done_at == now_) tile_done_.insert(t);
         if (observer_) event.started.push_back(ActorId{a});
         changed = true;
         ++instant_events;
-      }
+      });
       if (instant_events > limits_.max_events_per_instant) {
         throw AnalysisError(AnalysisErrorKind::kZeroDelayCycle,
                             "execute_constrained: zero-delay cycle at one instant");
@@ -419,19 +484,17 @@ ConstrainedResult ConstrainedExecutor::run() {
     }
     budget_.check();
 
-    // ---- Advance to the next completion event.
+    // ---- Advance to the next completion event: the earliest cached tile
+    // completion or interconnect firing end.
     std::int64_t next = kNeverCompletes;
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      const TileState& ts = tiles_[t];
-      if (!ts.busy) continue;
-      const TdmaTileSpec& tile = spec_.tiles[t];
-      next = std::min(next, ts.gated ? completion_time(now_, ts.remaining, tile.wheel_size,
-                                                       tile.slice, tile.slice_offset)
-                                     : now_ + ts.remaining);
+    for (const TileState& ts : tiles_) {
+      if (ts.busy) next = std::min(next, ts.done_at);
     }
-    for (const RemainingMultiset& rem : unscheduled_remaining_) {
-      if (!rem.empty()) next = std::min(next, now_ + rem.front());
+    std::int64_t soonest = kNeverCompletes;
+    for (const std::uint32_t a : unscheduled_) {
+      if (!remaining_[a].empty()) soonest = std::min(soonest, remaining_[a].front());
     }
+    if (soonest != kNeverCompletes) next = std::min(next, checked_add(now_, soonest));
     if (next == kNeverCompletes) {
       // Nothing can complete: deadlock (or a zero-slice tile blocks forever).
       result.base.status = SelfTimedResult::Status::kDeadlock;
@@ -439,15 +502,16 @@ ConstrainedResult ConstrainedExecutor::run() {
       result.base.max_tokens = std::move(max_tokens_);
       return result;
     }
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      TileState& ts = tiles_[t];
-      if (!ts.busy) continue;
-      const TdmaTileSpec& tile = spec_.tiles[t];
-      ts.remaining -= ts.gated ? slice_time_between(now_, next, tile.wheel_size, tile.slice,
-                                                    tile.slice_offset)
-                               : next - now_;
+    for (std::uint32_t t = 0; t < tiles_.size(); ++t) {
+      if (tiles_[t].busy && tiles_[t].done_at == next) tile_done_.insert(t);
     }
-    for (RemainingMultiset& rem : unscheduled_remaining_) rem.advance(next - now_);
+    const std::int64_t dt = next - now_;
+    for (const std::uint32_t a : unscheduled_) {
+      RemainingMultiset& rem = remaining_[a];
+      if (rem.empty()) continue;
+      rem.advance(dt);
+      if (rem.front() == 0) ended_.insert(a);
+    }
     now_ = next;
   }
 }

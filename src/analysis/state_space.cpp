@@ -117,6 +117,17 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
   StateKey scratch;
   TransitionEvent event;
 
+  // Worklists of the fixpoint passes, visited in ascending actor order so a
+  // pass ends and starts the same firings in the same order as a rescan of
+  // every actor: `ended` holds actors whose earliest firing reached zero
+  // remaining work, `enabled` actors whose inputs gained tokens or whose
+  // starts the token cap bounded (so an actor without input ports, enabled
+  // up to the cap by no token event, is re-examined on every pass).
+  DirtySet ended(num_actors);
+  DirtySet enabled(num_actors);
+  for (std::uint32_t a = 0; a < num_actors; ++a) enabled.insert(a);
+  const std::int64_t cap = limits.max_tokens_per_channel;
+
   while (true) {
     // --- Fixpoint at the current instant: end finished firings, start all
     // enabled firings, repeat until stable (zero-time firings cascade).
@@ -129,13 +140,13 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
     bool changed = true;
     while (changed) {
       changed = false;
-      for (std::uint32_t a = 0; a < num_actors; ++a) {
-        const std::int64_t ended = state.remaining[a].zero_count();
-        if (ended == 0) continue;
+      ended.drain([&](std::uint32_t a) {
+        const std::int64_t count = state.remaining[a].zero_count();
+        if (count == 0) return;
         state.remaining[a].pop_zeros();
         for (const PortTable::Port& p : ports.outputs(a)) {
           std::int64_t& tokens = state.tokens[p.channel];
-          tokens += p.rate * ended;
+          tokens += p.rate * count;
           if (tokens > max_tokens[p.channel]) max_tokens[p.channel] = tokens;
           if (tokens > limits.max_tokens_per_channel) {
             throw AnalysisError(
@@ -143,24 +154,26 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
                 "self_timed_throughput: unbounded token accumulation on channel '" +
                     g.channel(ChannelId{p.channel}).name + "'");
           }
+          enabled.insert(p.peer);
         }
-        fire_count[a] += ended;
-        if (observer) event.ended.insert(event.ended.end(), ended, ActorId{a});
+        fire_count[a] += count;
+        if (observer) event.ended.insert(event.ended.end(), count, ActorId{a});
         changed = true;
-        instant_events += static_cast<std::uint64_t>(ended);
-      }
-      for (std::uint32_t a = 0; a < num_actors; ++a) {
-        const std::int64_t started =
-            enabled_firings(ports, a, state.tokens, limits.max_tokens_per_channel);
-        if (started == 0) continue;
+        instant_events += static_cast<std::uint64_t>(count);
+      });
+      enabled.drain([&](std::uint32_t a) {
+        const std::int64_t started = enabled_firings(ports, a, state.tokens, cap);
+        if (started == 0) return;
         for (const PortTable::Port& p : ports.inputs(a)) {
           state.tokens[p.channel] -= p.rate * started;
         }
         state.remaining[a].add(ports.execution_time[a], started);
+        if (ports.execution_time[a] == 0) ended.insert(a);
+        if (started == cap) enabled.insert(a);  // capped: more may be enabled
         if (observer) event.started.insert(event.started.end(), started, ActorId{a});
         changed = true;
         instant_events += static_cast<std::uint64_t>(started);
-      }
+      });
       if (instant_events > limits.max_events_per_instant) {
         throw AnalysisError(
             AnalysisErrorKind::kZeroDelayCycle,
@@ -232,7 +245,12 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
       result.max_tokens = std::move(max_tokens);
       return result;
     }
-    for (auto& rem : state.remaining) rem.advance(dt);
+    for (std::uint32_t a = 0; a < num_actors; ++a) {
+      RemainingMultiset& rem = state.remaining[a];
+      if (rem.empty()) continue;
+      rem.advance(dt);
+      if (rem.front() == 0) ended.insert(a);
+    }
     now += dt;
   }
 }

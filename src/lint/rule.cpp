@@ -45,12 +45,12 @@ const std::vector<Rule>& lint_rules() {
     // Front-end emitted codes, registered for the catalog / SARIF metadata.
     rules.push_back({"SDF000", "parse-error",
                      "the file could not be parsed; the span marks the offending token",
-                     Severity::kError, RulePack::kGraph, nullptr});
+                     Severity::kError, RulePack::kGraph, nullptr, {}});
     lint_detail::append_graph_rules(rules);
     lint_detail::append_platform_rules(rules);
     rules.push_back({"SDF200", "mapping-unresolved-name",
                      "a mapping entry references an actor, tile or file that does not exist",
-                     Severity::kError, RulePack::kMapping, nullptr});
+                     Severity::kError, RulePack::kMapping, nullptr, {}});
     lint_detail::append_mapping_rules(rules);
     lint_detail::append_feasibility_rules(rules);
     return rules;

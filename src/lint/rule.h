@@ -86,8 +86,7 @@ struct Rule {
   RulePack pack = RulePack::kGraph;
   std::function<void(const LintInput&, std::vector<Diagnostic>&)> check;
   /// Longer SARIF fullDescription (witness format, soundness statement);
-  /// empty falls back to `summary`. Kept last so aggregate initializers of
-  /// the short form stay valid.
+  /// empty falls back to `summary`. Rules without one initialize it with {}.
   std::string detail;
 };
 

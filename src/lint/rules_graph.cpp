@@ -176,7 +176,8 @@ void append_graph_rules(std::vector<Rule>& rules) {
     rules.push_back({code, name, summary, severity, RulePack::kGraph,
                      [check](const LintInput& in, std::vector<Diagnostic>& out) {
                        if (in.graph != nullptr) check(in, out);
-                     }});
+                     },
+                     {}});
   };
   add("SDF001", "graph-inconsistent",
       "the balance equations have no non-trivial solution; no periodic schedule exists",

@@ -241,7 +241,8 @@ void append_mapping_rules(std::vector<Rule>& rules) {
     rules.push_back({code, name, summary, severity, RulePack::kMapping,
                      [check](const LintInput& in, std::vector<Diagnostic>& out) {
                        if (has_mapping_inputs(in)) check(in, out);
-                     }});
+                     },
+                     {}});
   };
   add("SDF201", "mapping-requirement-violated",
       "a bound actor's processor type or memory requirement is not met by its tile",

@@ -108,7 +108,8 @@ void append_platform_rules(std::vector<Rule>& rules) {
     rules.push_back({code, name, summary, severity, RulePack::kPlatform,
                      [check](const LintInput& in, std::vector<Diagnostic>& out) {
                        if (in.platform != nullptr) check(in, out);
-                     }});
+                     },
+                     {}});
   };
   add("SDF101", "platform-zero-capacity-tile",
       "a tile has a zero-size TDMA wheel or no memory", Severity::kError,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "src/sdf/builder.h"
 #include "src/sdf/repetition_vector.h"
 
@@ -85,6 +88,16 @@ TEST(WheelMath, WrappingOffsetWindow) {
   EXPECT_EQ(slice_time_between(0, 2, 10, 4, 8), 2);
   EXPECT_EQ(slice_time_between(2, 8, 10, 4, 8), 0);
   EXPECT_EQ(completion_time(2, 3, 10, 4, 8), 11);  // [8,10) + [10,11)
+}
+
+TEST(WheelMath, CompletionPastInt64Throws) {
+  // 2^40 units at one unit per 2^30-unit wheel end near 2^70: the product
+  // must not wrap to a completion time before `now`.
+  EXPECT_THROW((void)completion_time(0, std::int64_t{1} << 40, std::int64_t{1} << 30, 1),
+               std::overflow_error);
+  EXPECT_THROW((void)completion_time(INT64_MAX - 5, 10, 10, 10), std::overflow_error);
+  EXPECT_EQ(completion_time(0, std::int64_t{1} << 20, std::int64_t{1} << 30, 1),
+            ((std::int64_t{1} << 20) - 1) * (std::int64_t{1} << 30) + 1);
 }
 
 // ---- Constrained execution ----------------------------------------------
@@ -271,6 +284,32 @@ TEST(Constrained, PreCancelledBudgetIsCancelled) {
     } catch (const AnalysisError& e) {
       EXPECT_EQ(e.kind(), AnalysisErrorKind::kCancelled);
     }
+  }
+}
+
+TEST(Constrained, CompletionOverflowThrowsInsteadOfAPeriod) {
+  GraphBuilder b;
+  b.actor("a", std::int64_t{1} << 40).self_loop("a");
+  const Graph& g = b.build();
+  const auto gamma = compute_repetition_vector(g);
+  StaticOrderSchedule sched;
+  sched.firings = {ActorId{0}};
+  sched.loop_start = 0;
+  // Gated: one in-slice unit per 2^30-unit wheel.
+  EXPECT_THROW((void)execute_constrained(g, *gamma,
+                                         one_tile_spec(g, std::int64_t{1} << 30, 1, sched),
+                                         SchedulingMode::kStaticOrder),
+               std::overflow_error);
+  // Ungated: the second firing would end past INT64_MAX.
+  Graph big;
+  const ActorId a = big.add_actor("a", INT64_MAX / 2 + 1);
+  big.add_channel(a, a, 1, 1, 1);
+  const auto big_gamma = compute_repetition_vector(big);
+  for (const SchedulingMode mode :
+       {SchedulingMode::kStaticOrder, SchedulingMode::kListScheduling}) {
+    EXPECT_THROW(
+        (void)execute_constrained(big, *big_gamma, one_tile_spec(big, 10, 10, sched), mode),
+        std::overflow_error);
   }
 }
 
