@@ -44,8 +44,6 @@ class Timer {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
   }
 
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-
  private:
   std::chrono::steady_clock::time_point start_;
 };

@@ -19,6 +19,8 @@
 //
 // Common flags: [--attempts=<n>] [--backoff-ms=<n>] [--backoff-max-ms=<n>]
 //               [--timeout-ms=<n>] [--jitter-seed=<n>] [--progress]
+// Every numeric flag is a row of the knob table of docs/RUNTIME.md: a
+// malformed or out-of-range value warns once and its default applies.
 //
 // Retry semantics: transport failures (connect refused, disconnect mid-
 // request, response timeout) and typed retryable errors (shed, draining) are
@@ -70,12 +72,12 @@ bool read_file(const std::string& path, std::string& out) {
 ClientOptions client_options(const CliArgs& args) {
   ClientOptions options;
   options.socket_path = args.get("socket", "");
-  options.attempts = static_cast<int>(std::max<std::int64_t>(1, args.get_int("attempts", 3)));
-  options.backoff_initial_ms = std::max<std::int64_t>(1, args.get_int("backoff-ms", 50));
+  options.attempts = static_cast<int>(read_knob(Knob::kAttempts, &args).integer);
+  options.backoff_initial_ms = read_knob(Knob::kBackoffMs, &args).integer;
   options.backoff_max_ms =
-      std::max(options.backoff_initial_ms, args.get_int("backoff-max-ms", 2000));
-  options.response_timeout_ms = std::max<std::int64_t>(1, args.get_int("timeout-ms", 120000));
-  options.jitter_seed = static_cast<std::uint64_t>(args.get_int("jitter-seed", 1));
+      std::max(options.backoff_initial_ms, read_knob(Knob::kBackoffMaxMs, &args).integer);
+  options.response_timeout_ms = read_knob(Knob::kTimeoutMs, &args).integer;
+  options.jitter_seed = static_cast<std::uint64_t>(read_knob(Knob::kJitterSeed, &args).integer);
   if (args.has("progress")) {
     options.on_progress = [](const std::string& stage) {
       std::cerr << "sdfmap_client: progress: " << stage << "\n";
@@ -174,7 +176,7 @@ int run(const CliArgs& args) {
 
     // repeat: N identical requests; every response must match the first
     // byte-for-byte modulo timings (the determinism contract CI leans on).
-    const std::int64_t count = std::max<std::int64_t>(1, args.get_int("count", 8));
+    const std::int64_t count = read_knob(Knob::kCount, &args).integer;
     std::string first;
     for (std::int64_t i = 0; i < count; ++i) {
       const ServiceOutcome outcome = client.allocate(request);

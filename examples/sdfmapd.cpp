@@ -14,8 +14,9 @@
 //           [--cache | --no-cache]   # shared throughput-check memoization
 //           [--cache-dir=<dir>]      # persistent store
 //
-// --jobs, --deadline-ms and the cache knobs follow the knob table of
-// docs/RUNTIME.md (SDFMAP_JOBS, SDFMAP_CACHE, SDFMAP_CACHE_DIR).
+// Every flag but --socket is a row of the knob table of docs/RUNTIME.md
+// (SDFMAP_JOBS, SDFMAP_CACHE, SDFMAP_CACHE_DIR): a malformed or out-of-range
+// number warns once and its default applies.
 //
 // Robustness contract (tested by tests/service/ and the CI service job):
 // malformed / truncated / oversized / version-skewed frames produce a typed
@@ -57,15 +58,13 @@ int main(int argc, char** argv) {
 
     ServerOptions options;
     options.socket_path = socket_path;
-    options.workers =
-        static_cast<unsigned>(std::max<std::int64_t>(1, args.get_int("workers", 2)));
-    options.max_queue =
-        static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("max-queue", 64)));
+    options.workers = static_cast<unsigned>(read_knob(Knob::kWorkers, &args).integer);
+    options.max_queue = static_cast<std::size_t>(read_knob(Knob::kMaxQueue, &args).integer);
     options.max_sessions =
-        static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("max-sessions", 32)));
+        static_cast<std::size_t>(read_knob(Knob::kMaxSessions, &args).integer);
     options.default_deadline_ms = read_knob(Knob::kDeadlineMs, &args).integer;
-    options.max_deadline_ms = args.get_int("max-deadline-ms", 0);
-    options.drain_timeout_ms = std::max<std::int64_t>(0, args.get_int("drain-ms", 5000));
+    options.max_deadline_ms = read_knob(Knob::kMaxDeadlineMs, &args).integer;
+    options.drain_timeout_ms = read_knob(Knob::kDrainMs, &args).integer;
     options.cache_enabled = read_knob(Knob::kCache, &args).integer != 0;
     options.cache_dir = read_knob(Knob::kCacheDir, &args).text;
     const unsigned workers = options.workers;

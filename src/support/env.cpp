@@ -15,7 +15,10 @@ namespace sdfmap {
 const std::vector<KnobRow>& knob_table() {
   constexpr std::int64_t kMaxMs = 86400000;  // one day
   constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMinInt = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMaxInt32 = std::numeric_limits<std::int32_t>::max();
   constexpr const char* kMsRange = "a millisecond count in [0, 86400000]";
+  constexpr const char* kPositiveMs = "a millisecond count in [1, 86400000]";
   // Rows in Knob order (knob_row indexes by it).
   static const std::vector<KnobRow> table = {
     {Knob::kJobs, "jobs", nullptr, "SDFMAP_JOBS", KnobGrammar::kInteger, 1, 1024,
@@ -41,6 +44,28 @@ const std::vector<KnobRow>& knob_table() {
     {Knob::kC1, "c1", nullptr, nullptr, KnobGrammar::kReal, 0, 0, "a finite number", "1"},
     {Knob::kC2, "c2", nullptr, nullptr, KnobGrammar::kReal, 0, 0, "a finite number", "1"},
     {Knob::kC3, "c3", nullptr, nullptr, KnobGrammar::kReal, 0, 0, "a finite number", "1"},
+    {Knob::kWorkers, "workers", nullptr, nullptr, KnobGrammar::kInteger, 1, 1024,
+     "an integer in [1, 1024]", "2"},
+    {Knob::kMaxQueue, "max-queue", nullptr, nullptr, KnobGrammar::kInteger, 1, kMaxInt,
+     "a positive integer", "64"},
+    {Knob::kMaxSessions, "max-sessions", nullptr, nullptr, KnobGrammar::kInteger, 1, kMaxInt,
+     "a positive integer", "32"},
+    {Knob::kMaxDeadlineMs, "max-deadline-ms", nullptr, nullptr, KnobGrammar::kInteger, 0,
+     kMaxMs, kMsRange, "0"},
+    {Knob::kDrainMs, "drain-ms", nullptr, nullptr, KnobGrammar::kInteger, 0, kMaxMs, kMsRange,
+     "5000"},
+    {Knob::kAttempts, "attempts", nullptr, nullptr, KnobGrammar::kInteger, 1, kMaxInt32,
+     "an integer in [1, 2147483647]", "3"},
+    {Knob::kBackoffMs, "backoff-ms", nullptr, nullptr, KnobGrammar::kInteger, 1, kMaxMs,
+     kPositiveMs, "50"},
+    {Knob::kBackoffMaxMs, "backoff-max-ms", nullptr, nullptr, KnobGrammar::kInteger, 1, kMaxMs,
+     kPositiveMs, "2000"},
+    {Knob::kTimeoutMs, "timeout-ms", nullptr, nullptr, KnobGrammar::kInteger, 1, kMaxMs,
+     kPositiveMs, "120000"},
+    {Knob::kJitterSeed, "jitter-seed", nullptr, nullptr, KnobGrammar::kInteger, kMinInt,
+     kMaxInt, "an integer", "1"},
+    {Knob::kCount, "count", nullptr, nullptr, KnobGrammar::kInteger, 1, kMaxInt,
+     "a positive integer", "8"},
   };
   return table;
 }

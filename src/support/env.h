@@ -10,12 +10,17 @@
 
 namespace sdfmap {
 
-/// The knobs every front end shares (the table in docs/RUNTIME.md). Each one
-/// is parsed by one resolver over one table row, so a knob has the same
-/// grammar, range, default and diagnostic on every binary and in the library.
+/// The knobs every front end shares, and the numeric flags of sdfmapd and
+/// sdfmap_client (the table in docs/RUNTIME.md). Each one is parsed by one
+/// resolver over one table row, so a knob has the same grammar, range,
+/// default and diagnostic on every binary and in the library.
 enum class Knob : std::uint8_t {
   kJobs, kCache, kCacheDir, kDeadlineMs, kPerCheckMs, kLintBudgetMs, kLintLevel,
-  kBackend, kSolverMaxNodes, kNoDegrade, kC1, kC2, kC3
+  kBackend, kSolverMaxNodes, kNoDegrade, kC1, kC2, kC3,
+  // sdfmapd
+  kWorkers, kMaxQueue, kMaxSessions, kMaxDeadlineMs, kDrainMs,
+  // sdfmap_client
+  kAttempts, kBackoffMs, kBackoffMaxMs, kTimeoutMs, kJitterSeed, kCount
 };
 
 enum class KnobGrammar : std::uint8_t {

@@ -1,70 +1,29 @@
 // End-to-end guarantees of the throughput-check cache at the strategy and
 // multi-application level: allocations are byte-identical with the cache on,
-// off, shared, and at every jobs level; repeat runs actually hit; and checks
-// aborted by fault injection never poison a shared cache.
+// off, shared, and at every jobs level; repeat runs and scaled-duplicate
+// weights actually hit; and checks aborted by fault injection never poison a
+// shared cache.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/analysis/cache.h"
 #include "src/analysis/error.h"
-#include "src/appmodel/paper_example.h"
 #include "src/gen/benchmark_sets.h"
 #include "src/mapping/multi_app.h"
 #include "src/mapping/strategy.h"
-#include "src/platform/mesh.h"
 #include "src/runtime/task_pool.h"
+#include "tests/mapping/cache_suite.h"
 
 namespace sdfmap {
 namespace {
 
-/// Everything observable about one allocation, serialized for comparison —
-/// wall-clock fields and cache statistics deliberately excluded (the former
-/// are never stable, the latter are timing-dependent on shared caches).
-std::string fingerprint(const StrategyResult& r, std::uint32_t num_actors) {
-  std::ostringstream out;
-  out << r.success << '|' << r.stage << '|' << failure_kind_name(r.failure_kind) << '|'
-      << r.achieved_throughput.to_string() << '|' << r.throughput_checks << '|'
-      << r.diagnostics.exact_checks << ':' << r.diagnostics.degraded_checks << ':'
-      << r.diagnostics.infeasible_checks << '|';
-  for (std::uint32_t a = 0; a < num_actors; ++a) {
-    const auto tile = r.binding.tile_of(ActorId{a});
-    out << (tile ? static_cast<std::int64_t>(tile->value) : -1) << ',';
-  }
-  out << '|';
-  for (const std::int64_t s : r.slices) out << s << ',';
-  out << '|';
-  for (const StaticOrderSchedule& sched : r.schedules) {
-    for (const ActorId a : sched.firings) out << a.value << '.';
-    out << '@' << sched.loop_start << ';';
-  }
-  return out.str();
-}
+using cache_suite::fingerprint;
+using cache_suite::weight_sweep;
 
-std::string fingerprint(const MultiAppResult& r,
-                        const std::vector<ApplicationGraph>& apps) {
-  std::ostringstream out;
-  out << r.num_allocated << '|' << failure_kind_name(r.stop_reason) << '|'
-      << r.total_throughput_checks << "||";
-  for (std::size_t i = 0; i < r.results.size(); ++i) {
-    const std::uint32_t actors =
-        apps[r.attempted_indices[i]].sdf().num_actors();
-    out << fingerprint(r.results[i], actors) << "##";
-  }
-  return out.str();
-}
-
-class CacheStrategyTest : public ::testing::Test {
- protected:
-  CacheStrategyTest()
-      : arch_(make_example_platform()), app_(make_paper_example_application()) {}
-
-  Architecture arch_;
-  ApplicationGraph app_;
-};
+class CacheStrategyTest : public cache_suite::CacheSuiteTest {};
 
 TEST_F(CacheStrategyTest, AllocationIdenticalWithCacheOnAndOff) {
   StrategyOptions off;
@@ -75,8 +34,7 @@ TEST_F(CacheStrategyTest, AllocationIdenticalWithCacheOnAndOff) {
   StrategyOptions on;
   on.cache = std::make_shared<ThroughputCache>();
   const StrategyResult cached = allocate_resources(app_, arch_, on);
-  EXPECT_EQ(fingerprint(cached, app_.sdf().num_actors()),
-            fingerprint(baseline, app_.sdf().num_actors()));
+  EXPECT_EQ(fingerprint(cached), fingerprint(baseline));
   EXPECT_GT(cached.diagnostics.cache.lookups(), 0);
   EXPECT_GT(cached.diagnostics.cache.inserts, 0);
 }
@@ -89,8 +47,7 @@ TEST_F(CacheStrategyTest, RepeatRunOnSharedCacheHitsEverywhere) {
   EXPECT_GT(first.diagnostics.cache.inserts, 0);
 
   const StrategyResult second = allocate_resources(app_, arch_, options);
-  EXPECT_EQ(fingerprint(second, app_.sdf().num_actors()),
-            fingerprint(first, app_.sdf().num_actors()));
+  EXPECT_EQ(fingerprint(second), fingerprint(first));
   // The deterministic repeat performs exactly the first run's checks, so all
   // of them hit and nothing new is inserted.
   EXPECT_GT(second.diagnostics.cache.hits, 0);
@@ -101,10 +58,9 @@ TEST_F(CacheStrategyTest, RepeatRunOnSharedCacheHitsEverywhere) {
 TEST_F(CacheStrategyTest, SequenceIdenticalAcrossJobsAndCacheModes) {
   const auto apps = generate_sequence(BenchmarkSet::kMixed, 4, 1);
   const Architecture arch = make_benchmark_architecture(0);
-  const unsigned restore_jobs = TaskPool::global_jobs();
 
   const MultiAppResult baseline = allocate_sequence(apps, arch, StrategyOptions{});
-  const std::string expected = fingerprint(baseline, apps);
+  const std::string expected = fingerprint(baseline);
 
   const auto cache = std::make_shared<ThroughputCache>();
   for (const unsigned jobs : {1u, 2u, 8u}) {
@@ -112,13 +68,30 @@ TEST_F(CacheStrategyTest, SequenceIdenticalAcrossJobsAndCacheModes) {
     StrategyOptions options;
     options.cache = cache;
     const MultiAppResult r = allocate_sequence(apps, arch, options);
-    EXPECT_EQ(fingerprint(r, apps), expected) << "jobs=" << jobs;
+    EXPECT_EQ(fingerprint(r), expected) << "jobs=" << jobs;
     EXPECT_GT(r.diagnostics.cache.lookups(), 0) << "jobs=" << jobs;
   }
   // The second and third sweeps replay the first one's checks on a warm
   // shared cache, so hits must have materialized.
   EXPECT_GT(cache->stats().hits, 0);
-  TaskPool::set_global_jobs(restore_jobs);
+
+  // The reduced Tab. 4 sweep in six configurations — jobs 1/2/8, cache off
+  // and on — must give one report. Each cache-on configuration gets a fresh
+  // cache and must hit: the scaled-duplicate weights replay each other's
+  // checks.
+  std::string sweep_expected;
+  for (const unsigned jobs : {1u, 2u, 8u}) {
+    TaskPool::set_global_jobs(jobs);
+    for (const bool cached : {false, true}) {
+      const auto sweep_cache = cached ? std::make_shared<ThroughputCache>() : nullptr;
+      const std::string report = weight_sweep(sweep_cache);
+      if (sweep_expected.empty()) sweep_expected = report;
+      EXPECT_EQ(report, sweep_expected) << "jobs=" << jobs << " cache=" << cached;
+      if (cached) {
+        EXPECT_GT(sweep_cache->stats().hits, 0) << "jobs=" << jobs;
+      }
+    }
+  }
 }
 
 TEST_F(CacheStrategyTest, FaultedChecksDoNotPoisonASharedCache) {
@@ -139,8 +112,7 @@ TEST_F(CacheStrategyTest, FaultedChecksDoNotPoisonASharedCache) {
   StrategyOptions clean;
   clean.cache = cache;
   const StrategyResult after = allocate_resources(app_, arch_, clean);
-  EXPECT_EQ(fingerprint(after, app_.sdf().num_actors()),
-            fingerprint(baseline, app_.sdf().num_actors()));
+  EXPECT_EQ(fingerprint(after), fingerprint(baseline));
 }
 
 TEST_F(CacheStrategyTest, CacheCountsAggregateIntoMultiAppDiagnostics) {

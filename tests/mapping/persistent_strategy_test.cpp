@@ -1,23 +1,22 @@
 // Strategy-level guarantees of the persistent cache tier: allocations are
 // byte-identical with no cache, a cold on-disk cache, and a warm one; warm
-// runs actually serve disk hits; and any injected I/O fault — EIO or a
-// simulated crash at every call index — degrades to the in-memory tier while
-// the allocation stays byte-identical (docs/CACHE.md).
+// runs actually serve disk hits, and a warm sweep hits strictly more than its
+// cold run; and any injected I/O fault — EIO or a simulated crash at every
+// call index — degrades to the in-memory tier while the allocation stays
+// byte-identical (docs/CACHE.md).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/analysis/cache.h"
 #include "src/analysis/persistent_cache.h"
-#include "src/appmodel/paper_example.h"
 #include "src/mapping/strategy.h"
-#include "src/platform/mesh.h"
+#include "src/runtime/task_pool.h"
 #include "src/support/file_io.h"
+#include "tests/mapping/cache_suite.h"
 
 namespace sdfmap {
 namespace {
@@ -29,38 +28,10 @@ std::string make_temp_dir() {
   return templ;
 }
 
-/// Everything observable about one allocation (mirrors cache_strategy_test):
-/// wall-clock fields and cache statistics excluded.
-std::string fingerprint(const StrategyResult& r, std::uint32_t num_actors) {
-  std::ostringstream out;
-  out << r.success << '|' << r.stage << '|' << failure_kind_name(r.failure_kind) << '|'
-      << r.achieved_throughput.to_string() << '|' << r.throughput_checks << '|';
-  for (std::uint32_t a = 0; a < num_actors; ++a) {
-    const auto tile = r.binding.tile_of(ActorId{a});
-    out << (tile ? static_cast<std::int64_t>(tile->value) : -1) << ',';
-  }
-  out << '|';
-  for (const std::int64_t s : r.slices) out << s << ',';
-  out << '|';
-  for (const StaticOrderSchedule& sched : r.schedules) {
-    for (const ActorId a : sched.firings) out << a.value << '.';
-    out << '@' << sched.loop_start << ';';
-  }
-  return out.str();
-}
+using cache_suite::fingerprint;
+using cache_suite::weight_sweep;
 
-class PersistentStrategyTest : public ::testing::Test {
- protected:
-  PersistentStrategyTest()
-      : arch_(make_example_platform()), app_(make_paper_example_application()) {}
-
-  std::string fp(const StrategyResult& r) const {
-    return fingerprint(r, app_.sdf().num_actors());
-  }
-
-  Architecture arch_;
-  ApplicationGraph app_;
-};
+class PersistentStrategyTest : public cache_suite::CacheSuiteTest {};
 
 TEST_F(PersistentStrategyTest, ColdWarmAndNoCacheAllocationsIdentical) {
   const StrategyResult baseline = allocate_resources(app_, arch_, {});
@@ -74,22 +45,43 @@ TEST_F(PersistentStrategyTest, ColdWarmAndNoCacheAllocationsIdentical) {
     return options;
   };
   const StrategyResult cold = allocate_resources(app_, arch_, with_store());
-  EXPECT_EQ(fp(cold), fp(baseline));
+  EXPECT_EQ(fingerprint(cold), fingerprint(baseline));
   EXPECT_TRUE(cold.diagnostics.cache.disk_attached);
   EXPECT_GT(cold.diagnostics.cache.inserts, 0);
 
   const StrategyResult warm = allocate_resources(app_, arch_, with_store());
-  EXPECT_EQ(fp(warm), fp(baseline));
+  EXPECT_EQ(fingerprint(warm), fingerprint(baseline));
   EXPECT_TRUE(warm.diagnostics.cache.disk_attached);
   // Every check of the deterministic repeat was salvaged from the store.
   EXPECT_GT(warm.diagnostics.cache.disk_hits, 0);
   EXPECT_EQ(warm.diagnostics.cache.misses, 0);
 }
 
+TEST_F(PersistentStrategyTest, WarmStartSweepHitsStrictlyMore) {
+  // The reduced Tab. 4 sweep twice at jobs 2 on one store: cold on a fresh
+  // directory, then warm through a new cache that recovers the cold run's
+  // records. Each cache is released (flushed, unlocked) before the next opens.
+  TaskPool::set_global_jobs(2);
+  const std::string dir = make_temp_dir() + "/store";
+  const auto sweep = [&dir](CacheStats& stats) {
+    const auto cache = make_persistent_throughput_cache(dir);
+    std::string report = weight_sweep(cache);
+    stats = cache->stats();
+    return report;
+  };
+  CacheStats cold, warm;
+  const std::string cold_report = sweep(cold);
+  const std::string warm_report = sweep(warm);
+  EXPECT_EQ(warm_report, cold_report);
+  EXPECT_GT(warm.hit_rate(), cold.hit_rate()) << "cold " << cold.summary() << "; warm "
+                                              << warm.summary();
+  EXPECT_GT(warm.disk_hits, 0);
+}
+
 TEST_F(PersistentStrategyTest, EveryInjectedFaultKeepsAllocationIdentical) {
   const StrategyResult baseline = allocate_resources(app_, arch_, {});
   ASSERT_TRUE(baseline.success);
-  const std::string expected = fp(baseline);
+  const std::string expected = fingerprint(baseline);
 
   // Warm a store once, then count the I/O calls of a clean warm run.
   const std::string dir = make_temp_dir() + "/store";
@@ -108,7 +100,7 @@ TEST_F(PersistentStrategyTest, EveryInjectedFaultKeepsAllocationIdentical) {
     StrategyOptions options;
     options.cache = make_persistent_throughput_cache(dir, base);
     const StrategyResult clean = allocate_resources(app_, arch_, options);
-    EXPECT_EQ(fp(clean), expected);
+    EXPECT_EQ(fingerprint(clean), expected);
   }
   ASSERT_GT(total_calls, 3);
 
@@ -122,7 +114,7 @@ TEST_F(PersistentStrategyTest, EveryInjectedFaultKeepsAllocationIdentical) {
       StrategyOptions options;
       options.cache = make_persistent_throughput_cache(dir, base);
       const StrategyResult r = allocate_resources(app_, arch_, options);
-      EXPECT_EQ(fp(r), expected)
+      EXPECT_EQ(fingerprint(r), expected)
           << (crash ? "crash" : "EIO") << " at I/O call " << fault_at;
       // The fault is visible as a structured diagnostic, never as a failure.
       const auto disk = options.cache->persistent();
@@ -137,7 +129,7 @@ TEST_F(PersistentStrategyTest, EveryInjectedFaultKeepsAllocationIdentical) {
   StrategyOptions options;
   options.cache = make_persistent_throughput_cache(dir);
   const StrategyResult after = allocate_resources(app_, arch_, options);
-  EXPECT_EQ(fp(after), expected);
+  EXPECT_EQ(fingerprint(after), expected);
 }
 
 TEST_F(PersistentStrategyTest, ConcurrentWritersOnOneDirElectOneAndStayByteIdentical) {
@@ -149,7 +141,7 @@ TEST_F(PersistentStrategyTest, ConcurrentWritersOnOneDirElectOneAndStayByteIdent
   // uncached baseline.
   const StrategyResult baseline = allocate_resources(app_, arch_, {});
   ASSERT_TRUE(baseline.success);
-  const std::string expected = fp(baseline);
+  const std::string expected = fingerprint(baseline);
 
   const std::string dir = make_temp_dir() + "/store";
   const auto winner = make_persistent_throughput_cache(dir);
@@ -178,8 +170,8 @@ TEST_F(PersistentStrategyTest, ConcurrentWritersOnOneDirElectOneAndStayByteIdent
   });
   winner_thread.join();
   loser_thread.join();
-  EXPECT_EQ(fp(winner_result), expected);
-  EXPECT_EQ(fp(loser_result), expected);
+  EXPECT_EQ(fingerprint(winner_result), expected);
+  EXPECT_EQ(fingerprint(loser_result), expected);
 
   // Only the elected writer persisted records; the loser wrote nothing.
   EXPECT_GT(winner->persistent()->stats().appended_records, 0);
@@ -190,7 +182,7 @@ TEST_F(PersistentStrategyTest, ConcurrentWritersOnOneDirElectOneAndStayByteIdent
   StrategyOptions again_options;
   again_options.cache = loser;
   const StrategyResult again = allocate_resources(app_, arch_, again_options);
-  EXPECT_EQ(fp(again), expected);
+  EXPECT_EQ(fingerprint(again), expected);
 }
 
 TEST_F(PersistentStrategyTest, WriterElectionPassesToNextOpenerAfterRelease) {
@@ -212,7 +204,7 @@ TEST_F(PersistentStrategyTest, WriterElectionPassesToNextOpenerAfterRelease) {
   StrategyOptions options;
   options.cache = second;
   const StrategyResult warm = allocate_resources(app_, arch_, options);
-  EXPECT_EQ(fp(warm), fp(baseline));
+  EXPECT_EQ(fingerprint(warm), fingerprint(baseline));
   EXPECT_GT(warm.diagnostics.cache.disk_hits, 0);
 }
 
@@ -223,7 +215,7 @@ TEST_F(PersistentStrategyTest, UnwritableCacheDirDegradesSilently) {
   options.cache =
       make_persistent_throughput_cache("/proc/sdfmap-definitely-not-writable/store");
   const StrategyResult r = allocate_resources(app_, arch_, options);
-  EXPECT_EQ(fp(r), fp(baseline));
+  EXPECT_EQ(fingerprint(r), fingerprint(baseline));
 }
 
 }  // namespace

@@ -55,6 +55,8 @@ std::string rejected(const std::string& given, const std::string& expected,
 const char* const kJobsRange = "an integer in [1, 1024]";
 const char* const kBools = "0|1|on|off|true|false|yes|no";
 const char* const kMs = "a millisecond count in [0, 86400000]";
+const char* const kPositiveMs = "a millisecond count in [1, 86400000]";
+const char* const kPositive = "a positive integer";
 
 const std::vector<KnobCase>& cases() {
   static const std::vector<KnobCase> table = {
@@ -152,6 +154,28 @@ const std::vector<KnobCase>& cases() {
       {Knob::kC2, "1,5", nullptr, "1", rejected("1,5", "a finite number", "1")},
       {Knob::kC3, "0", nullptr, "0", ""},
       {Knob::kC3, "nan", nullptr, "1", rejected("nan", "a finite number", "1")},
+      // sdfmapd and sdfmap_client: a value below a row's minimum is rejected
+      // like garbage, not raised to the minimum.
+      {Knob::kWorkers, "4", nullptr, "4", ""},
+      {Knob::kWorkers, "0", nullptr, "2", rejected("0", kJobsRange, "2")},
+      {Knob::kMaxQueue, "1", nullptr, "1", ""},
+      {Knob::kMaxQueue, "abc", nullptr, "64", rejected("abc", kPositive, "64")},
+      {Knob::kMaxSessions, "0", nullptr, "32", rejected("0", kPositive, "32")},
+      {Knob::kMaxDeadlineMs, "1000", nullptr, "1000", ""},
+      {Knob::kMaxDeadlineMs, "-1", nullptr, "0", rejected("-1", kMs, "0")},
+      {Knob::kDrainMs, "0", nullptr, "0", ""},
+      {Knob::kDrainMs, "5s", nullptr, "5000", rejected("5s", kMs, "5000")},
+      {Knob::kAttempts, "1", nullptr, "1", ""},
+      {Knob::kAttempts, "abc", nullptr, "3",
+       rejected("abc", "an integer in [1, 2147483647]", "3")},
+      {Knob::kAttempts, "2147483648", nullptr, "3",
+       rejected("2147483648", "an integer in [1, 2147483647]", "3")},
+      {Knob::kBackoffMs, "0", nullptr, "50", rejected("0", kPositiveMs, "50")},
+      {Knob::kBackoffMaxMs, "10", nullptr, "10", ""},
+      {Knob::kTimeoutMs, "1.5", nullptr, "120000", rejected("1.5", kPositiveMs, "120000")},
+      {Knob::kJitterSeed, "-7", nullptr, "-7", ""},
+      {Knob::kJitterSeed, "seed", nullptr, "1", rejected("seed", "an integer", "1")},
+      {Knob::kCount, "0", nullptr, "8", rejected("0", kPositive, "8")},
   };
   return table;
 }
