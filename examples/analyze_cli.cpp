@@ -34,6 +34,8 @@
 // Exit codes (see CliExitCode in src/io/report.h): 0 success, 1 analysis
 // failed, 2 usage, 3 invalid input, 4 analysis limit, 5 deadline exceeded,
 // 6 cancelled, 7 lint errors, 8 lint warnings/infos only, 70 internal error.
+// A bad flag value and an output file that cannot be written are usage errors
+// (exit 2, one `error:` line on stderr).
 //
 // SIGINT/SIGTERM trip the run's cancellation token: the analyses unwind
 // cooperatively, the persistent cache is flushed on the way out, and the
@@ -44,6 +46,7 @@
 #include <fstream>
 #include <iterator>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "src/analysis/latency.h"
@@ -81,10 +84,31 @@ Graph demo_graph() {
   return g;
 }
 
-Rational parse_rational(const std::string& s) {
-  const auto slash = s.find('/');
-  if (slash == std::string::npos) return Rational(parse_int(s));
-  return Rational(parse_int(s.substr(0, slash)), parse_int(s.substr(slash + 1)));
+/// The --storage-period value: a positive `num[/den]`, or nullopt when it is
+/// malformed, has a zero denominator or is not positive.
+std::optional<Rational> parse_period(const std::string& s) {
+  try {
+    const auto slash = s.find('/');
+    const Rational period =
+        slash == std::string::npos
+            ? Rational(parse_int(s))
+            : Rational(parse_int(s.substr(0, slash)), parse_int(s.substr(slash + 1)));
+    if (period > Rational(0)) return period;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+/// Writes one output file through `write`; prints `error: cannot write <path>`
+/// and returns false when the file could not be created or written.
+template <typename Write>
+bool write_file(const std::string& path, Write&& write) {
+  std::ofstream os(path);
+  write(os);
+  os.close();
+  if (os) return true;
+  std::cerr << "error: cannot write " << path << "\n";
+  return false;
 }
 
 /// `analyze_cli lint <file...>`: lint each file, report in the requested
@@ -195,6 +219,24 @@ int run(const CliArgs& args) {
     return kCliUsageError;
   }
 
+  // Flag values are checked before any analysis runs, so a bad flag is a
+  // usage error and never reads as a property of the graph.
+  const std::string sink_name = args.get("sink", g.actor(ActorId{0}).name);
+  const std::optional<ActorId> sink = g.find_actor(sink_name);
+  if (!sink) {
+    std::cerr << "error: --sink names no actor of the graph: '" << sink_name << "'\n";
+    return kCliUsageError;
+  }
+  std::optional<Rational> storage_period;
+  if (args.has("storage-period")) {
+    storage_period = parse_period(args.get("storage-period", ""));
+    if (!storage_period) {
+      std::cerr << "error: --storage-period must be a positive num[/den], got '"
+                << args.get("storage-period", "") << "'\n";
+      return kCliUsageError;
+    }
+  }
+
   if (args.has("lint")) {
     LintInput input;
     input.graph = &g;
@@ -228,17 +270,13 @@ int run(const CliArgs& args) {
   const ThroughputReport mcr = compute_throughput(g, ThroughputEngine::kHsdfMcr, limits);
   std::cout << format_throughput_report(ss, mcr);
 
-  const std::string sink_name = args.get("sink", g.actor(ActorId{0}).name);
-  if (const auto sink = g.find_actor(sink_name)) {
-    if (const auto latency = self_timed_latency(g, *gamma, *sink)) {
-      std::cout << "latency at '" << sink_name << "': first output "
-                << latency->first_output << ", first iteration "
-                << latency->first_iteration_completion << "\n";
-    }
+  if (const auto latency = self_timed_latency(g, *gamma, *sink)) {
+    std::cout << "latency at '" << sink_name << "': first output " << latency->first_output
+              << ", first iteration " << latency->first_iteration_completion << "\n";
   }
 
-  if (args.has("storage-period")) {
-    const Rational target = parse_rational(args.get("storage-period", "0"));
+  if (storage_period) {
+    const Rational target = *storage_period;
     StorageOptions storage_options;
     storage_options.limits = limits;
     storage_options.cache = cache;
@@ -266,8 +304,9 @@ int run(const CliArgs& args) {
 
   const std::string dot_path = args.get("dot", "");
   if (!dot_path.empty()) {
-    std::ofstream dot(dot_path);
-    write_dot(dot, g, "sdfg");
+    if (!write_file(dot_path, [&](std::ostream& os) { write_dot(os, g, "sdfg"); })) {
+      return kCliUsageError;
+    }
     std::cout << "wrote " << dot_path << "\n";
   }
   return kCliSuccess;

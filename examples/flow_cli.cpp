@@ -30,6 +30,8 @@
 // Exit codes (see CliExitCode in src/io/report.h): 0 success, 1 allocation
 // failed, 2 usage, 3 invalid input, 4 analysis limit, 5 deadline exceeded,
 // 6 cancelled, 7 lint errors, 8 lint warnings/infos only, 70 internal error.
+// An output file that cannot be written is a usage error (exit 2, one
+// `error:` line on stderr).
 //
 // SIGINT/SIGTERM trip the run's cancellation token: the strategy unwinds
 // cooperatively (never mid-write), the persistent cache is flushed on the
@@ -58,14 +60,26 @@ using namespace sdfmap;
 
 namespace {
 
+/// Writes one output file through `write`; prints `error: cannot write <path>`
+/// and returns false when the file could not be created or written.
+template <typename Write>
+bool write_file(const std::string& path, Write&& write) {
+  std::ofstream os(path);
+  write(os);
+  os.close();
+  if (os) return true;
+  std::cerr << "error: cannot write " << path << "\n";
+  return false;
+}
+
 int dump_examples(const std::string& dir) {
-  {
-    std::ofstream os(dir + "/example_app.sdfapp");
-    write_application(os, make_paper_example_application());
-  }
-  {
-    std::ofstream os(dir + "/example_platform.sdfarch");
-    write_architecture(os, make_example_platform(), "fig2");
+  if (!write_file(dir + "/example_app.sdfapp", [](std::ostream& os) {
+        write_application(os, make_paper_example_application());
+      }) ||
+      !write_file(dir + "/example_platform.sdfarch", [](std::ostream& os) {
+        write_architecture(os, make_example_platform(), "fig2");
+      })) {
+    return kCliUsageError;
   }
   std::cout << "wrote " << dir << "/example_app.sdfapp and " << dir
             << "/example_platform.sdfarch\n"
@@ -150,8 +164,11 @@ int run(const CliArgs& args) {
     }
     const std::string vcd_path = args.get("vcd", "");
     if (!vcd_path.empty() && vcd_path != "true") {
-      std::ofstream vcd(vcd_path);
-      write_vcd(vcd, bag.graph, recorder.firings(), recorder.horizon());
+      if (!write_file(vcd_path, [&](std::ostream& os) {
+            write_vcd(os, bag.graph, recorder.firings(), recorder.horizon());
+          })) {
+        return kCliUsageError;
+      }
       std::cout << "  wrote " << vcd_path << "\n";
     }
   }
@@ -175,14 +192,17 @@ int run(const CliArgs& args) {
 
   const std::string dot_prefix = args.get("dot", "");
   if (!dot_prefix.empty()) {
-    std::ofstream app_dot(dot_prefix + "_app.dot");
-    write_dot(app_dot, app.sdf(), app.name());
-    std::ofstream arch_dot(dot_prefix + "_platform.dot");
-    write_dot(arch_dot, arch, "platform");
     const BindingAwareGraph bag =
         build_binding_aware_graph(app, arch, r.binding, r.slices);
-    std::ofstream bag_dot(dot_prefix + "_binding_aware.dot");
-    write_dot(bag_dot, bag.graph, app.name() + "_binding_aware");
+    if (!write_file(dot_prefix + "_app.dot",
+                    [&](std::ostream& os) { write_dot(os, app.sdf(), app.name()); }) ||
+        !write_file(dot_prefix + "_platform.dot",
+                    [&](std::ostream& os) { write_dot(os, arch, "platform"); }) ||
+        !write_file(dot_prefix + "_binding_aware.dot", [&](std::ostream& os) {
+          write_dot(os, bag.graph, app.name() + "_binding_aware");
+        })) {
+      return kCliUsageError;
+    }
     std::cout << "  wrote " << dot_prefix << "_{app,platform,binding_aware}.dot\n";
   }
   return kCliSuccess;

@@ -9,6 +9,7 @@
 #include "src/analysis/mcr.h"
 #include "src/analysis/state_space.h"
 #include "src/analysis/throughput.h"
+#include "src/gen/generator.h"
 #include "src/sdf/builder.h"
 #include "src/sdf/deadlock.h"
 #include "src/sdf/hsdf.h"
@@ -79,6 +80,37 @@ TEST_P(EngineAgreement, StateSpaceEqualsHsdfMcr) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineAgreement, ::testing::Range<std::uint64_t>(1, 81));
+
+// The same identity on the application generator's graphs (src/gen), with
+// worst-case execution times and every actor serialized by a one-token
+// self-loop, as the mapping flow sees them.
+class GeneratorAgreement : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GeneratorAgreement, SerializedStateSpaceEqualsHsdfMcr) {
+  Rng rng(GetParam());
+  GeneratorOptions options;
+  options.min_actors = 3;
+  options.max_actors = 6;
+  options.max_repetition = 3;
+  const ApplicationGraph app = generate_application(options, rng, "agree");
+  Graph serialized = app.sdf();
+  for (std::uint32_t a = 0; a < serialized.num_actors(); ++a) {
+    serialized.set_execution_time(ActorId{a}, app.max_execution_time(ActorId{a}));
+    if (!serialized.has_self_loop(ActorId{a})) {
+      serialized.add_channel(ActorId{a}, ActorId{a}, 1, 1, 1);
+    }
+  }
+
+  const SelfTimedResult st = self_timed_throughput(serialized);
+  const McrResult mcr = max_cycle_ratio(to_hsdf(serialized).graph);
+  ASSERT_EQ(st.deadlocked(), mcr.kind == McrResult::Kind::kDeadlock) << "seed " << GetParam();
+  if (!st.deadlocked()) {
+    ASSERT_TRUE(mcr.is_finite());
+    EXPECT_EQ(st.iteration_period, mcr.ratio) << "seed " << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorAgreement, ::testing::Range<std::uint64_t>(1, 31));
 
 TEST(ThroughputFacade, EnginesAgreeOnFixture) {
   GraphBuilder b;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/state_space.h"
 #include "src/appmodel/paper_example.h"
+#include "src/gen/generator.h"
 #include "src/sdf/builder.h"
+#include "src/support/rng.h"
 
 namespace sdfmap {
 namespace {
@@ -109,6 +112,42 @@ TEST(Criticality, SortedOrderForPaperExample) {
   EXPECT_EQ(app.sdf().actor(order[1]).name, "a1");
   EXPECT_EQ(app.sdf().actor(order[2]).name, "a3");
 }
+
+// Property: an actor that is throughput-critical (one more time unit of
+// execution lengthens the self-timed period) lies on a cycle, so Eqn. 1 gives
+// it a positive cost. Eqn. 1 is an estimate of cycle criticality, as the paper
+// says, so the critical actors need not rank first; they only must not score
+// zero.
+class CriticalityVsSelfTimed : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CriticalityVsSelfTimed, ThroughputCriticalActorsHaveNonzeroEqn1Cost) {
+  Rng rng(GetParam());
+  GeneratorOptions options;
+  options.min_actors = 3;
+  options.max_actors = 6;
+  const ApplicationGraph generated = generate_application(options, rng, "sens");
+  Graph g = generated.sdf();
+  std::vector<std::int64_t> taus;
+  for (std::uint32_t a = 0; a < g.num_actors(); ++a) {
+    taus.push_back(generated.max_execution_time(ActorId{a}));
+    g.set_execution_time(ActorId{a}, taus.back());
+  }
+  const SelfTimedResult base = self_timed_throughput(g);
+  ASSERT_FALSE(base.deadlocked()) << "seed " << GetParam();
+
+  const auto crit = compute_criticality(app_from(g, taus));
+  for (std::uint32_t a = 0; a < g.num_actors(); ++a) {
+    Graph slower = g;
+    slower.set_execution_time(ActorId{a}, taus[a] + 1);
+    const SelfTimedResult perturbed = self_timed_throughput(slower);
+    if (perturbed.deadlocked() || perturbed.iteration_period == base.iteration_period) continue;
+    EXPECT_TRUE(crit[a].infinite || crit[a].cost > Rational(0))
+        << "actor " << g.actor(ActorId{a}).name
+        << " is throughput-critical but Eqn. 1 sees it on no cycle (seed " << GetParam() << ")";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CriticalityVsSelfTimed, ::testing::Range<std::uint64_t>(1, 26));
 
 }  // namespace
 }  // namespace sdfmap
