@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -76,6 +78,8 @@ std::string fingerprint(const Run& run) {
     return render(run());
   } catch (const AnalysisError& e) {
     return std::string("error ") + analysis_error_kind_name(e.kind()) + " " + e.what();
+  } catch (const std::overflow_error& e) {
+    return std::string("error overflow ") + e.what();
   }
 }
 
@@ -245,6 +249,120 @@ inline std::vector<std::string> edge_case_table() {
   return lines;
 }
 
+/// Hand-built graphs for the engines' time advance: interconnect actors with
+/// several in-flight firings that end at different times, interconnect ends
+/// past INT64_MAX (the overflow surfaces at the advance that would reach
+/// them, also while a tile completes earlier), a tile and an interconnect
+/// firing completing at one instant, and thousands of concurrent firings
+/// with distinct ends. Each line carries the observer-stream digest.
+inline std::vector<std::string> calendar_case_table() {
+  std::vector<std::string> lines;
+  const auto schedule = [](std::vector<std::uint32_t> actors) {
+    StaticOrderSchedule s;
+    for (const std::uint32_t a : actors) s.firings.push_back(ActorId{a});
+    return s;
+  };
+  const auto constrained = [&](const std::string& name, const Graph& g,
+                               const ConstrainedSpec& spec, SchedulingMode mode) {
+    const RepetitionVector gamma = *compute_repetition_vector(g);
+    lines.push_back("calendar/" + name + " " + observed([&](const TraceObserver& o) {
+                      return execute_constrained(g, gamma, spec, mode, {}, o);
+                    }));
+  };
+  const auto self_timed = [&](const std::string& name, const Graph& g) {
+    const RepetitionVector gamma = *compute_repetition_vector(g);
+    lines.push_back("calendar/" + name + " " + observed([&](const TraceObserver& o) {
+                      return self_timed_throughput(g, gamma, {}, o);
+                    }));
+  };
+
+  {
+    // Tile actor a starts an interconnect firing of u (Υ 7) and of v (Υ 5)
+    // every few time units, so both hold several firings with distinct ends;
+    // b on a gated tile returns the tokens a needs.
+    Graph g;
+    const ActorId a = g.add_actor("a", 2);
+    const ActorId u = g.add_actor("u", 7);
+    const ActorId v = g.add_actor("v", 5);
+    const ActorId b = g.add_actor("b", 3);
+    g.add_channel(a, u, 1, 1, 0);
+    g.add_channel(a, v, 2, 1, 1);
+    g.add_channel(u, b, 1, 1, 0);
+    g.add_channel(v, b, 1, 2, 0);
+    g.add_channel(b, a, 1, 1, 4);
+    g.add_channel(a, a, 1, 1, 1);
+    g.add_channel(b, b, 1, 1, 1);
+    ConstrainedSpec spec;
+    spec.actor_tile = {0, kUnscheduled, kUnscheduled, 1};
+    spec.tiles = {{4, 4, 0, schedule({0})}, {6, 4, 3, schedule({3})}};
+    constrained("in-flight/static", g, spec, SchedulingMode::kStaticOrder);
+    constrained("in-flight/list", g, spec, SchedulingMode::kListScheduling);
+    self_timed("in-flight/selftimed", g);
+  }
+  {
+    // u's firings end past INT64_MAX: the first starts at time 3 with
+    // Υ = INT64_MAX - 2 (or Υ = INT64_MAX, whose remaining work equals the
+    // never-completes sentinel at its start instant) while tile actor a
+    // keeps completing earlier.
+    for (const std::int64_t slack : {2, 0}) {
+      Graph g;
+      const ActorId a = g.add_actor("a", 3);
+      const ActorId u = g.add_actor("u", std::numeric_limits<std::int64_t>::max() - slack);
+      g.add_channel(a, u, 1, 1, 0);
+      g.add_channel(u, a, 1, 1, 3);
+      g.add_channel(a, a, 1, 1, 1);
+      ConstrainedSpec spec;
+      spec.actor_tile = {0, kUnscheduled};
+      spec.tiles = {{5, 5, 0, schedule({0})}};
+      const std::string tag = "overflow" + std::to_string(slack);
+      constrained(tag + "/static", g, spec, SchedulingMode::kStaticOrder);
+      constrained(tag + "/list", g, spec, SchedulingMode::kListScheduling);
+      spec.tiles = {{5, 2, 1, schedule({0})}};
+      constrained(tag + "/gated", g, spec, SchedulingMode::kStaticOrder);
+    }
+  }
+  {
+    // Tile actor a and interconnect actor u both take 4 units from time 0:
+    // they complete at the same instant, ungated and (with b) gated.
+    Graph g;
+    const ActorId a = g.add_actor("a", 4);
+    const ActorId u = g.add_actor("u", 4);
+    const ActorId b = g.add_actor("b", 2);
+    g.add_channel(a, b, 1, 1, 0);
+    g.add_channel(u, b, 1, 1, 0);
+    g.add_channel(b, a, 1, 1, 1);
+    g.add_channel(b, u, 1, 1, 1);
+    g.add_channel(a, a, 1, 1, 1);
+    g.add_channel(u, u, 1, 1, 1);
+    g.add_channel(b, b, 1, 1, 1);
+    ConstrainedSpec spec;
+    spec.actor_tile = {0, kUnscheduled, 1};
+    spec.tiles = {{8, 8, 0, schedule({0})}, {4, 2, 0, schedule({2})}};
+    constrained("same-instant/static", g, spec, SchedulingMode::kStaticOrder);
+    constrained("same-instant/list", g, spec, SchedulingMode::kListScheduling);
+    spec.tiles[0] = {8, 4, 0, schedule({0})};
+    constrained("same-instant/gated", g, spec, SchedulingMode::kStaticOrder);
+  }
+  {
+    // a fires every unit and starts three firings of b (Υ 700) each time:
+    // about 2100 firings of b are in flight with 700 distinct ends.
+    Graph g;
+    const ActorId a = g.add_actor("a", 1);
+    const ActorId b = g.add_actor("b", 700);
+    g.add_channel(a, b, 3, 1, 0);
+    g.add_channel(b, a, 1, 3, 2100);
+    g.add_channel(a, a, 1, 1, 1);
+    self_timed("thousands/selftimed", g);
+    ConstrainedSpec spec;
+    spec.actor_tile = {kUnscheduled, kUnscheduled};
+    constrained("thousands/unscheduled", g, spec, SchedulingMode::kStaticOrder);
+    spec.actor_tile = {0, kUnscheduled};
+    spec.tiles = {{3, 2, 1, schedule({0})}};
+    constrained("thousands/tile-bound", g, spec, SchedulingMode::kStaticOrder);
+  }
+  return lines;
+}
+
 /// One "<case> <fingerprint>" line per case, in a fixed order. Per set 1-4,
 /// six generated applications are bound by the greedy heuristic and list
 /// scheduled on one of the three benchmark platforms; each one that binds and
@@ -255,8 +373,8 @@ inline std::vector<std::string> edge_case_table() {
 /// slices). On the first application of each set, capped runs (state, step,
 /// token and event caps) pin the error paths. The same first application also
 /// contributes observer-stream digests (two static-order runs, one list-mode
-/// and one self-timed run); they follow every generated case, and the
-/// edge_case_table() lines come last.
+/// and one self-timed run); they follow every generated case, then come the
+/// edge_case_table() lines and last the calendar_case_table() lines.
 inline std::vector<std::string> fingerprint_table() {
   std::vector<std::string> lines;
   std::vector<std::string> observer_lines;
@@ -412,6 +530,7 @@ inline std::vector<std::string> fingerprint_table() {
   }
   lines.insert(lines.end(), observer_lines.begin(), observer_lines.end());
   for (std::string& line : edge_case_table()) lines.push_back(std::move(line));
+  for (std::string& line : calendar_case_table()) lines.push_back(std::move(line));
   return lines;
 }
 
