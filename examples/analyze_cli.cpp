@@ -196,6 +196,11 @@ int run(const CliArgs& args) {
   if (!args.positional().empty() && args.positional().front() == "allocate") {
     return run_allocate_subcommand(args);
   }
+  // An output path needs a value: a bare --dot would read as the path "true".
+  if (args.bare("dot")) {
+    std::cerr << "error: --dot needs a value: --dot=<path>\n";
+    return kCliUsageError;
+  }
   Graph g;
   if (args.has("demo")) {
     g = demo_graph();
@@ -219,6 +224,10 @@ int run(const CliArgs& args) {
     return kCliUsageError;
   }
 
+  if (g.num_actors() == 0) {
+    std::cerr << "error: the graph has no actors\n";
+    return kCliInvalidInput;
+  }
   // Flag values are checked before any analysis runs, so a bad flag is a
   // usage error and never reads as a property of the graph.
   const std::string sink_name = args.get("sink", g.actor(ActorId{0}).name);

@@ -92,6 +92,13 @@ int run(const CliArgs& args) {
   // Parallelism of the library's internal sweeps (buffer sizing candidates);
   // the allocation and report are byte-identical for every level.
   TaskPool::set_global_jobs(jobs_from_args(args));
+  // Output paths need a value: a bare flag would read as the path "true".
+  for (const char* flag : {"dot", "vcd"}) {
+    if (args.bare(flag)) {
+      std::cerr << "error: --" << flag << " needs a value: --" << flag << "=<path>\n";
+      return kCliUsageError;
+    }
+  }
   if (args.has("dump-examples")) {
     return dump_examples(args.get("dir", "."));
   }
@@ -158,12 +165,13 @@ int run(const CliArgs& args) {
     (void)execute_constrained(bag.graph, *gamma, spec, SchedulingMode::kStaticOrder,
                               ExecutionLimits{}, recorder.observer());
     if (args.has("gantt")) {
-      const std::int64_t width = args.get_int("gantt", 0) > 1 ? args.get_int("gantt", 0) : 60;
+      const std::int64_t asked = args.bare("gantt") ? 0 : args.get_int("gantt", 0);
+      const std::int64_t width = asked > 1 ? asked : 60;
       std::cout << "\nexecution timeline (one column per time unit, '.' = reserved idle):\n"
                 << render_gantt(bag.graph, spec, recorder.firings(), 0, width);
     }
     const std::string vcd_path = args.get("vcd", "");
-    if (!vcd_path.empty() && vcd_path != "true") {
+    if (!vcd_path.empty()) {
       if (!write_file(vcd_path, [&](std::ostream& os) {
             write_vcd(os, bag.graph, recorder.firings(), recorder.horizon());
           })) {

@@ -313,11 +313,16 @@ ConstrainedResult cached_execute_constrained(ThroughputCache* cache, CacheStats*
                                              const Graph& g, const RepetitionVector& gamma,
                                              const ConstrainedSpec& spec, SchedulingMode mode,
                                              const ExecutionLimits& limits,
-                                             const TraceObserver& observer) {
+                                             const TraceObserver& observer,
+                                             ConstrainedScratch* scratch) {
+  const auto run = [&] {
+    return scratch ? execute_constrained(*scratch, g, gamma, spec, mode, limits, observer)
+                   : execute_constrained(g, gamma, spec, mode, limits, observer);
+  };
   if (!cache || observer) {
     // Observed runs bypass the cache: a cached result carries no transitions
     // to replay into the observer.
-    return execute_constrained(g, gamma, spec, mode, limits, observer);
+    return run();
   }
   if (stats && cache->persistent()) stats->disk_attached = true;
   const StateKey key = constrained_cache_key(g, spec, mode, limits);
@@ -333,7 +338,7 @@ ConstrainedResult cached_execute_constrained(ThroughputCache* cache, CacheStats*
   if (stats) ++stats->misses;
   // Any engine error (deadline, cancellation, count cap) throws through here
   // before the insert: an aborted check leaves the cache untouched.
-  ConstrainedResult result = execute_constrained(g, gamma, spec, mode, limits, observer);
+  ConstrainedResult result = run();
   count_insert(stats, cache->insert(key, hash, result));
   return result;
 }

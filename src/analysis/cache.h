@@ -178,11 +178,13 @@ class ThroughputCache {
 /// up first; on a miss the engine runs and its result is inserted. Engine
 /// errors (budget expiry, cancellation, count caps) propagate *before* the
 /// insert, so an aborted check can never poison the cache. `stats`, when
-/// non-null, receives this call's hit/miss/insert/evict accounting.
+/// non-null, receives this call's hit/miss/insert/evict accounting. The
+/// engine runs on `scratch` when one is given (see ConstrainedScratch), on a
+/// fresh one otherwise.
 [[nodiscard]] ConstrainedResult cached_execute_constrained(
     ThroughputCache* cache, CacheStats* stats, const Graph& g, const RepetitionVector& gamma,
     const ConstrainedSpec& spec, SchedulingMode mode, const ExecutionLimits& limits = {},
-    const TraceObserver& observer = {});
+    const TraceObserver& observer = {}, ConstrainedScratch* scratch = nullptr);
 
 /// self_timed_throughput with memoization; same contract as
 /// cached_execute_constrained (results are stored with empty schedules).

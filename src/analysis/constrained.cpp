@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "src/analysis/event_calendar.h"
 #include "src/analysis/port_table.h"
-#include "src/analysis/remaining_multiset.h"
 #include "src/analysis/state_hash.h"
 #include "src/support/rational.h"
 
@@ -47,42 +47,7 @@ std::int64_t slice_time_between(std::int64_t from, std::int64_t to, std::int64_t
   return upto(to) - upto(from);
 }
 
-namespace {
-
-/// Shared engine for both scheduling modes (Sec. 8.2 / Sec. 9.2). The graph
-/// is compiled to a PortTable and the interconnect actors to one list before
-/// the run starts; the loops below never touch Actor/Channel objects again
-/// except to name a diverging channel.
-///
-/// The fixpoint at one instant is event-driven: each pass visits only the
-/// actors and tiles in its dirty sets, in ascending index order, which hold
-/// every one a full rescan would find something to do for. Token production
-/// marks the consumers (an interconnect actor, or the tile of a tile-bound
-/// actor and, in list mode, the actor's ready-list refresh); completions mark
-/// the firing's actor or tile. An actor whose starts or claims the token cap
-/// bounded stays marked, which keeps actors without input ports (always
-/// enabled up to the cap) re-examined on every pass. So every pass ends and
-/// starts the same firings in the same order as a rescan, and the passes,
-/// budget polls and caps are unchanged.
-class ConstrainedExecutor {
- public:
-  ConstrainedExecutor(const Graph& g, const RepetitionVector& gamma,
-                      const ConstrainedSpec& spec, SchedulingMode mode,
-                      const ExecutionLimits& limits, const TraceObserver& observer)
-      : g_(g),
-        gamma_(gamma),
-        spec_(spec),
-        mode_(mode),
-        limits_(limits),
-        observer_(observer),
-        budget_(limits.budget, "execute_constrained"),
-        ports_(g) {
-    validate();
-  }
-
-  ConstrainedResult run();
-
- private:
+struct ConstrainedScratch::Storage {
   struct TileState {
     bool busy = false;
     /// False when the slice covers the whole wheel: the tile then runs
@@ -96,8 +61,102 @@ class ConstrainedExecutor {
     /// List mode FIFO: the queued firings are ready[ready_head..].
     std::vector<std::uint32_t> ready;
     std::size_t ready_head = 0;
+
+    /// Idle at time 0, keeping the ready list's storage.
+    void reset(bool gated_tile) {
+      busy = false;
+      gated = gated_tile;
+      firing_actor = 0;
+      done_at = 0;
+      schedule_pos = 0;
+      ready.clear();
+      ready_head = 0;
+    }
   };
 
+  struct Snapshot {
+    std::int64_t time = 0;
+    std::vector<std::int64_t> fires;
+    std::vector<std::size_t> starts;  // list mode: per-tile recorded-start counts
+  };
+
+  PortTable ports;
+  std::vector<std::int64_t> tokens;
+  std::vector<std::int64_t> max_tokens;
+  std::vector<TileState> tiles;
+  std::vector<std::uint32_t> unscheduled;      // interconnect actors, ascending
+  std::vector<EndTimeQueue> active;            // per actor; used for interconnect actors
+  std::vector<std::int64_t> pending_claims;    // list mode, per actor
+  std::vector<std::int64_t> fire_count;
+  std::vector<std::vector<ActorId>> recorded_starts;  // list mode, per tile
+
+  // Worklists of the fixpoint passes (see ConstrainedExecutor).
+  DirtySet ended;       // interconnect actors with firings ending now
+  DirtySet enabled;     // interconnect actors whose inputs gained tokens
+  DirtySet refresh;     // list mode: tile actors whose enabled count may have grown
+  DirtySet tile_done;   // tiles whose active firing completes now
+  DirtySet tile_ready;  // tiles that may be able to start a firing
+
+  /// Pending completions after now: (done_at, kTileEvent | t) per busy tile
+  /// whose firing completes, (front end, a) per interconnect queue.
+  EventCalendar calendar;
+
+  StateMap<Snapshot> seen;  // sampled states of the recurrence detection
+  StateKey key;             // encode_key's buffer
+  TransitionEvent event;    // the observer's per-instant event
+};
+
+ConstrainedScratch::ConstrainedScratch() : storage_(std::make_unique<Storage>()) {}
+ConstrainedScratch::~ConstrainedScratch() = default;
+
+namespace {
+
+/// Calendar ids of tile completions; interconnect ends use the actor index.
+constexpr std::uint32_t kTileEvent = std::uint32_t{1} << 31;
+
+/// Shared engine for both scheduling modes (Sec. 8.2 / Sec. 9.2). The graph
+/// is compiled to a PortTable and the interconnect actors to one list before
+/// the run starts; the loops below never touch Actor/Channel objects again
+/// except to name a diverging channel. All mutable state lives in a
+/// ConstrainedScratch::Storage, which init_state() resets.
+///
+/// The fixpoint at one instant is event-driven: each pass visits only the
+/// actors and tiles in its dirty sets, in ascending index order, which hold
+/// every one a full rescan would find something to do for. Token production
+/// marks the consumers (an interconnect actor, or the tile of a tile-bound
+/// actor and, in list mode, the actor's ready-list refresh); completions mark
+/// the firing's actor or tile. An actor whose starts or claims the token cap
+/// bounded stays marked, which keeps actors without input ports (always
+/// enabled up to the cap) re-examined on every pass. So every pass ends and
+/// starts the same firings in the same order as a rescan, and the passes,
+/// budget polls and caps are unchanged.
+///
+/// Time advances through the event calendar: every busy tile with a finite
+/// completion and every non-empty interconnect queue has one entry there,
+/// and the advance pops all entries at the earliest time into tile_done and
+/// ended.
+class ConstrainedExecutor {
+ public:
+  using Storage = ConstrainedScratch::Storage;
+  using TileState = Storage::TileState;
+
+  ConstrainedExecutor(Storage& storage, const Graph& g, const RepetitionVector& gamma,
+                      const ConstrainedSpec& spec, SchedulingMode mode,
+                      const ExecutionLimits& limits, const TraceObserver& observer)
+      : s_(storage),
+        g_(g),
+        gamma_(gamma),
+        spec_(spec),
+        mode_(mode),
+        limits_(limits),
+        observer_(observer),
+        budget_(limits.budget, "execute_constrained") {
+    validate();
+  }
+
+  ConstrainedResult run();
+
+ private:
   void validate() const {
     if (spec_.actor_tile.size() != g_.num_actors()) {
       throw std::invalid_argument("execute_constrained: actor_tile size mismatch");
@@ -126,21 +185,21 @@ class ConstrainedExecutor {
   }
 
   bool tokens_available(std::uint32_t a) const {
-    for (const PortTable::Port& p : ports_.inputs(a)) {
-      if (tokens_[p.channel] < p.rate) return false;
+    for (const PortTable::Port& p : s_.ports.inputs(a)) {
+      if (s_.tokens[p.channel] < p.rate) return false;
     }
     return true;
   }
 
   void consume_inputs(std::uint32_t a) {
-    for (const PortTable::Port& p : ports_.inputs(a)) tokens_[p.channel] -= p.rate;
+    for (const PortTable::Port& p : s_.ports.inputs(a)) s_.tokens[p.channel] -= p.rate;
   }
 
   void produce_outputs(std::uint32_t a) {
-    for (const PortTable::Port& p : ports_.outputs(a)) {
-      std::int64_t& tokens = tokens_[p.channel];
+    for (const PortTable::Port& p : s_.ports.outputs(a)) {
+      std::int64_t& tokens = s_.tokens[p.channel];
       tokens += p.rate;
-      if (tokens > max_tokens_[p.channel]) max_tokens_[p.channel] = tokens;
+      if (tokens > s_.max_tokens[p.channel]) s_.max_tokens[p.channel] = tokens;
       if (tokens > limits_.max_tokens_per_channel) {
         throw AnalysisError(AnalysisErrorKind::kTokenDivergence,
                             "execute_constrained: unbounded token accumulation on '" +
@@ -151,55 +210,75 @@ class ConstrainedExecutor {
 
   /// Marks the consumers of `a`'s output channels after it produced tokens.
   void mark_consumers(std::uint32_t a) {
-    for (const PortTable::Port& p : ports_.outputs(a)) {
+    for (const PortTable::Port& p : s_.ports.outputs(a)) {
       const std::int32_t t = spec_.actor_tile[p.peer];
       if (t == kUnscheduled) {
-        enabled_.insert(p.peer);
+        s_.enabled.insert(p.peer);
       } else {
-        tile_ready_.insert(static_cast<std::uint32_t>(t));
-        if (mode_ == SchedulingMode::kListScheduling) refresh_.insert(p.peer);
+        s_.tile_ready.insert(static_cast<std::uint32_t>(t));
+        if (mode_ == SchedulingMode::kListScheduling) s_.refresh.insert(p.peer);
       }
     }
   }
 
   /// Firings of `a` its input tokens enable, capped at `cap`.
   std::int64_t enabled_firings(std::uint32_t a, std::int64_t cap) const {
-    for (const PortTable::Port& p : ports_.inputs(a)) {
-      cap = std::min(cap, firings_enabled_by(tokens_[p.channel], p.rate));
+    for (const PortTable::Port& p : s_.ports.inputs(a)) {
+      cap = std::min(cap, firings_enabled_by(s_.tokens[p.channel], p.rate));
       if (cap == 0) break;
     }
     return cap;
   }
 
+  /// Files interconnect actor a's queue front in the calendar. An end past
+  /// INT64_MAX, or a remaining time of exactly INT64_MAX (Υ = INT64_MAX,
+  /// started now), is counted for the overflow rule of advance().
+  void schedule_front(std::uint32_t a) {
+    const std::uint64_t end = s_.active[a].front_end();
+    s_.calendar.push(end, a);
+    ++fronts_;
+    if (end > static_cast<std::uint64_t>(kNeverCompletes)) ++fronts_past_max_;
+    if (end - static_cast<std::uint64_t>(now_) == static_cast<std::uint64_t>(kNeverCompletes)) {
+      ++fronts_unbounded_;
+    }
+  }
+
   void init_state() {
     const std::size_t num_actors = g_.num_actors();
-    tokens_.resize(g_.num_channels());
+    const std::size_t num_tiles = spec_.tiles.size();
+    s_.ports.build(g_);
+    s_.tokens.resize(g_.num_channels());
     for (std::size_t i = 0; i < g_.num_channels(); ++i) {
-      tokens_[i] = g_.channels()[i].initial_tokens;
+      s_.tokens[i] = g_.channels()[i].initial_tokens;
     }
-    max_tokens_ = tokens_;
-    tiles_.assign(spec_.tiles.size(), {});
-    tile_ready_ = DirtySet(tiles_.size());
-    tile_done_ = DirtySet(tiles_.size());
-    for (std::uint32_t t = 0; t < tiles_.size(); ++t) {
-      tiles_[t].gated = spec_.tiles[t].slice < spec_.tiles[t].wheel_size;
-      tile_ready_.insert(t);
+    s_.max_tokens = s_.tokens;
+    s_.tiles.resize(num_tiles);
+    s_.tile_ready.reset(num_tiles);
+    s_.tile_done.reset(num_tiles);
+    for (std::uint32_t t = 0; t < num_tiles; ++t) {
+      s_.tiles[t].reset(spec_.tiles[t].slice < spec_.tiles[t].wheel_size);
+      s_.tile_ready.insert(t);
     }
-    enabled_ = DirtySet(num_actors);
-    ended_ = DirtySet(num_actors);
-    refresh_ = DirtySet(mode_ == SchedulingMode::kListScheduling ? num_actors : 0);
+    s_.enabled.reset(num_actors);
+    s_.ended.reset(num_actors);
+    s_.refresh.reset(mode_ == SchedulingMode::kListScheduling ? num_actors : 0);
+    s_.unscheduled.clear();
     for (std::uint32_t a = 0; a < num_actors; ++a) {
       if (spec_.actor_tile[a] == kUnscheduled) {
-        unscheduled_.push_back(a);
-        enabled_.insert(a);
+        s_.unscheduled.push_back(a);
+        s_.enabled.insert(a);
       } else if (mode_ == SchedulingMode::kListScheduling) {
-        refresh_.insert(a);
+        s_.refresh.insert(a);
       }
     }
-    remaining_.assign(num_actors, {});
-    pending_claims_.assign(num_actors, 0);
-    fire_count_.assign(num_actors, 0);
-    recorded_starts_.assign(spec_.tiles.size(), {});
+    s_.active.resize(num_actors);
+    for (EndTimeQueue& q : s_.active) q.clear();
+    s_.pending_claims.assign(num_actors, 0);
+    s_.fire_count.assign(num_actors, 0);
+    s_.recorded_starts.resize(num_tiles);
+    for (std::vector<ActorId>& starts : s_.recorded_starts) starts.clear();
+    s_.calendar.clear();
+    s_.seen.clear();
   }
 
   /// List mode: dequeues the oldest ready firing of a non-empty list. The
@@ -220,37 +299,39 @@ class ConstrainedExecutor {
 
   /// In-slice work left of tile t's active firing at now_.
   std::int64_t remaining_work(std::size_t t) const {
-    const TileState& ts = tiles_[t];
-    if (ts.done_at == kNeverCompletes) return ports_.execution_time[ts.firing_actor];
+    const TileState& ts = s_.tiles[t];
+    if (ts.done_at == kNeverCompletes) return s_.ports.execution_time[ts.firing_actor];
     if (!ts.gated) return ts.done_at - now_;
     const TdmaTileSpec& tile = spec_.tiles[t];
     return slice_time_between(now_, ts.done_at, tile.wheel_size, tile.slice,
                               tile.slice_offset);
   }
 
-  /// Serializes the extended state into a caller-owned key, reusing its word
-  /// storage (see ExecState::encode_key in state_space.cpp: on a map hit the
-  /// buffer survives, so steady-state sampling allocates nothing).
-  void encode_key(StateKey& key) const {
-    key.words.clear();
-    key.words.reserve(tokens_.size() + spec_.tiles.size() * 6 + g_.num_actors());
-    key.words.insert(key.words.end(), tokens_.begin(), tokens_.end());
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      const TileState& ts = tiles_[t];
-      key.words.push_back(ts.busy ? static_cast<std::int64_t>(ts.firing_actor) : -1);
-      key.words.push_back(ts.busy ? remaining_work(t) : -1);
-      key.words.push_back(static_cast<std::int64_t>(ts.schedule_pos));
-      key.words.push_back(now_ % spec_.tiles[t].wheel_size);  // wheel phase
+  /// Serializes the extended state into the storage's key buffer (see
+  /// ExecState::encode_key in state_space.cpp: on a map hit the buffer
+  /// survives, so steady-state sampling allocates nothing).
+  void encode_key() {
+    std::vector<std::int64_t>& words = s_.key.words;
+    words.clear();
+    words.reserve(s_.tokens.size() + spec_.tiles.size() * 6 + g_.num_actors());
+    words.insert(words.end(), s_.tokens.begin(), s_.tokens.end());
+    for (std::size_t t = 0; t < s_.tiles.size(); ++t) {
+      const TileState& ts = s_.tiles[t];
+      words.push_back(ts.busy ? static_cast<std::int64_t>(ts.firing_actor) : -1);
+      words.push_back(ts.busy ? remaining_work(t) : -1);
+      words.push_back(static_cast<std::int64_t>(ts.schedule_pos));
+      words.push_back(now_ % spec_.tiles[t].wheel_size);  // wheel phase
       if (mode_ == SchedulingMode::kListScheduling) {
-        key.words.push_back(static_cast<std::int64_t>(ts.ready.size() - ts.ready_head));
-        key.words.insert(key.words.end(),
-                         ts.ready.begin() + static_cast<std::ptrdiff_t>(ts.ready_head),
-                         ts.ready.end());
+        words.push_back(static_cast<std::int64_t>(ts.ready.size() - ts.ready_head));
+        words.insert(words.end(),
+                     ts.ready.begin() + static_cast<std::ptrdiff_t>(ts.ready_head),
+                     ts.ready.end());
       }
     }
-    for (const std::uint32_t a : unscheduled_) remaining_[a].encode(key.words);
+    for (const std::uint32_t a : s_.unscheduled) s_.active[a].encode(now_, words);
   }
 
+  Storage& s_;
   const Graph& g_;
   const RepetitionVector& gamma_;
   const ConstrainedSpec& spec_;
@@ -258,36 +339,20 @@ class ConstrainedExecutor {
   const ExecutionLimits& limits_;
   const TraceObserver& observer_;
   BudgetGuard budget_;
-  const PortTable ports_;
 
   std::int64_t now_ = 0;
-  std::vector<std::int64_t> tokens_;
-  std::vector<std::int64_t> max_tokens_;
-  std::vector<TileState> tiles_;
-  std::vector<std::uint32_t> unscheduled_;      // interconnect actors, ascending
-  std::vector<RemainingMultiset> remaining_;    // per actor; used for interconnect actors
-  std::vector<std::int64_t> pending_claims_;    // list mode, per actor
-  std::vector<std::int64_t> fire_count_;
-  std::vector<std::vector<ActorId>> recorded_starts_;  // list mode, per tile
-
-  // Worklists of the fixpoint passes (see the class comment).
-  DirtySet ended_;       // interconnect actors with firings at zero remaining
-  DirtySet enabled_;     // interconnect actors whose inputs gained tokens
-  DirtySet refresh_;     // list mode: tile actors whose enabled count may have grown
-  DirtySet tile_done_;   // tiles whose active firing completes now
-  DirtySet tile_ready_;  // tiles that may be able to start a firing
+  // Interconnect queue fronts in the calendar: all of them, those ending
+  // past INT64_MAX, and those with exactly INT64_MAX remaining.
+  std::size_t fronts_ = 0;
+  std::size_t fronts_past_max_ = 0;
+  std::size_t fronts_unbounded_ = 0;
 };
 
 ConstrainedResult ConstrainedExecutor::run() {
   const std::size_t num_actors = g_.num_actors();
   init_state();
-
-  struct Snapshot {
-    std::int64_t time = 0;
-    std::vector<std::int64_t> fires;
-    std::vector<std::size_t> starts;  // list mode: per-tile recorded-start counts
-  };
-  StateMap<Snapshot> seen;
+  StateMap<Storage::Snapshot>& seen = s_.seen;
+  TransitionEvent& event = s_.event;
 
   ConstrainedResult result;
 
@@ -308,14 +373,12 @@ ConstrainedResult ConstrainedExecutor::run() {
   const std::int64_t cap = limits_.max_tokens_per_channel;
 
   // Pre-size the sampled-state map from the repetition vector (≈ γ(ref)
-  // samples per iteration, capped) and keep one scratch key plus one
-  // TransitionEvent across the whole run: without an observer the event's
-  // vectors are never touched, with one their capacity is reused.
+  // samples per iteration, capped). The key buffer and the TransitionEvent
+  // live in the storage: without an observer the event's vectors are never
+  // touched, with one their capacity is reused.
   seen.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
       std::min<std::uint64_t>(4096, limits_.max_states),
       static_cast<std::uint64_t>(gamma_[ref]) * 4 + 16)));
-  StateKey scratch;
-  TransitionEvent event;
 
   while (true) {
     // ---- Fixpoint at the current instant.
@@ -329,40 +392,44 @@ ConstrainedResult ConstrainedExecutor::run() {
     while (changed) {
       changed = false;
       // End unscheduled firings that have completed.
-      ended_.drain([&](std::uint32_t a) {
-        RemainingMultiset& rem = remaining_[a];
-        const std::int64_t ended = rem.zero_count();
+      s_.ended.drain([&](std::uint32_t a) {
+        EndTimeQueue& q = s_.active[a];
+        const std::int64_t ended = q.ended_at(now_);
         if (ended == 0) return;
-        rem.pop_zeros();
+        q.pop_front();
+        if (!q.empty()) schedule_front(a);
         for (std::int64_t k = 0; k < ended; ++k) produce_outputs(a);
         mark_consumers(a);
-        fire_count_[a] += ended;
+        s_.fire_count[a] += ended;
         if (observer_) event.ended.insert(event.ended.end(), ended, ActorId{a});
         changed = true;
         instant_events += static_cast<std::uint64_t>(ended);
       });
       // End tile firings that have completed.
-      tile_done_.drain([&](std::uint32_t t) {
-        TileState& ts = tiles_[t];
+      s_.tile_done.drain([&](std::uint32_t t) {
+        TileState& ts = s_.tiles[t];
         ts.busy = false;
         produce_outputs(ts.firing_actor);
         mark_consumers(ts.firing_actor);
-        ++fire_count_[ts.firing_actor];
-        tile_ready_.insert(t);
+        ++s_.fire_count[ts.firing_actor];
+        s_.tile_ready.insert(t);
         if (observer_) event.ended.push_back(ActorId{ts.firing_actor});
         changed = true;
         ++instant_events;
       });
       // Start unscheduled firings (self-timed).
-      enabled_.drain([&](std::uint32_t a) {
+      s_.enabled.drain([&](std::uint32_t a) {
         const std::int64_t started = enabled_firings(a, cap);
         if (started == 0) return;
-        for (const PortTable::Port& p : ports_.inputs(a)) {
-          tokens_[p.channel] -= p.rate * started;
+        for (const PortTable::Port& p : s_.ports.inputs(a)) {
+          s_.tokens[p.channel] -= p.rate * started;
         }
-        remaining_[a].add(ports_.execution_time[a], started);
-        if (ports_.execution_time[a] == 0) ended_.insert(a);
-        if (started == cap) enabled_.insert(a);  // capped: more may be enabled
+        const std::int64_t work = s_.ports.execution_time[a];
+        const std::uint64_t end =
+            static_cast<std::uint64_t>(now_) + static_cast<std::uint64_t>(work);
+        if (s_.active[a].push(end, started) && work > 0) schedule_front(a);
+        if (work == 0) s_.ended.insert(a);
+        if (started == cap) s_.enabled.insert(a);  // capped: more may be enabled
         if (observer_) event.started.insert(event.started.end(), started, ActorId{a});
         changed = true;
         instant_events += static_cast<std::uint64_t>(started);
@@ -370,18 +437,18 @@ ConstrainedResult ConstrainedExecutor::run() {
       // List mode: enqueue newly enabled firing instances of tile actors. A
       // queued instance claims tokens it has not consumed yet, so the number
       // of queued instances per actor never exceeds min_c floor(tokens/rate).
-      refresh_.drain([&](std::uint32_t a) {
+      s_.refresh.drain([&](std::uint32_t a) {
         const std::int64_t enabled = enabled_firings(a, cap);
-        if (pending_claims_[a] >= enabled) return;
+        if (s_.pending_claims[a] >= enabled) return;
         const auto t = static_cast<std::uint32_t>(spec_.actor_tile[a]);
-        tiles_[t].ready.insert(tiles_[t].ready.end(),
-                               static_cast<std::size_t>(enabled - pending_claims_[a]), a);
-        pending_claims_[a] = enabled;
-        tile_ready_.insert(t);
+        s_.tiles[t].ready.insert(s_.tiles[t].ready.end(),
+                                 static_cast<std::size_t>(enabled - s_.pending_claims[a]), a);
+        s_.pending_claims[a] = enabled;
+        s_.tile_ready.insert(t);
       });
       // Start tile firings.
-      tile_ready_.drain([&](std::uint32_t t) {
-        TileState& ts = tiles_[t];
+      s_.tile_ready.drain([&](std::uint32_t t) {
+        TileState& ts = s_.tiles[t];
         if (ts.busy) return;
         std::uint32_t a = 0;
         if (mode_ == SchedulingMode::kStaticOrder) {
@@ -393,25 +460,29 @@ ConstrainedResult ConstrainedExecutor::run() {
         } else {
           if (ts.ready_head == ts.ready.size()) return;
           a = pop_ready(ts);
-          --pending_claims_[a];
+          --s_.pending_claims[a];
           if (!tokens_available(a)) {
             throw std::logic_error("execute_constrained: ready-list claim without tokens");
           }
-          recorded_starts_[t].push_back(ActorId{a});
+          s_.recorded_starts[t].push_back(ActorId{a});
           // Its enabled count drops with the consumed tokens unless the
           // token cap bounds it (always so without input ports), so the
           // next refresh re-checks it.
-          refresh_.insert(a);
+          s_.refresh.insert(a);
         }
         consume_inputs(a);
         ts.busy = true;
         ts.firing_actor = a;
         const TdmaTileSpec& tile = spec_.tiles[t];
-        const std::int64_t work = ports_.execution_time[a];
+        const std::int64_t work = s_.ports.execution_time[a];
         ts.done_at = ts.gated ? completion_time(now_, work, tile.wheel_size, tile.slice,
                                                 tile.slice_offset)
                               : checked_add(now_, work);
-        if (ts.done_at == now_) tile_done_.insert(t);
+        if (ts.done_at == now_) {
+          s_.tile_done.insert(t);
+        } else if (ts.done_at != kNeverCompletes) {
+          s_.calendar.push(static_cast<std::uint64_t>(ts.done_at), kTileEvent | t);
+        }
         if (observer_) event.started.push_back(ActorId{a});
         changed = true;
         ++instant_events;
@@ -427,17 +498,17 @@ ConstrainedResult ConstrainedExecutor::run() {
     }
 
     // ---- Recurrence detection, sampled at reference-actor completions.
-    if (fire_count_[ref] != sampled_ref_fires) {
-      sampled_ref_fires = fire_count_[ref];
-      encode_key(scratch);
-      // try_emplace leaves `scratch` untouched when the key already exists
-      // (recurrence hit) and moves its buffer into the map otherwise.
-      const auto [it, inserted] = seen.try_emplace(std::move(scratch));
+    if (s_.fire_count[ref] != sampled_ref_fires) {
+      sampled_ref_fires = s_.fire_count[ref];
+      encode_key();
+      // try_emplace leaves the key buffer untouched when the key already
+      // exists (recurrence hit) and moves it into the map otherwise.
+      const auto [it, inserted] = seen.try_emplace(std::move(s_.key));
       if (!inserted) {
-        const Snapshot& prev = it->second;
+        const Storage::Snapshot& prev = it->second;
         const std::int64_t span = now_ - prev.time;
         for (std::uint32_t a = 0; a < num_actors; ++a) {
-          const std::int64_t delta = fire_count_[a] - prev.fires[a];
+          const std::int64_t delta = s_.fire_count[a] - prev.fires[a];
           if (delta > 0 && gamma_[a] > 0) {
             result.base.status = SelfTimedResult::Status::kPeriodic;
             result.base.iteration_period = Rational(span) * Rational(gamma_[a], delta);
@@ -446,7 +517,7 @@ ConstrainedResult ConstrainedExecutor::run() {
             result.base.cycle_firings = delta;
             result.base.period_firings.resize(num_actors);
             for (std::uint32_t b = 0; b < num_actors; ++b) {
-              result.base.period_firings[b] = fire_count_[b] - prev.fires[b];
+              result.base.period_firings[b] = s_.fire_count[b] - prev.fires[b];
             }
             break;
           }
@@ -454,24 +525,24 @@ ConstrainedResult ConstrainedExecutor::run() {
         result.base.states_stored = seen.size();
         if (mode_ == SchedulingMode::kListScheduling &&
             result.base.status == SelfTimedResult::Status::kPeriodic) {
-          result.schedules.resize(tiles_.size());
-          for (std::size_t t = 0; t < tiles_.size(); ++t) {
-            result.schedules[t].firings = recorded_starts_[t];
+          result.schedules.resize(s_.tiles.size());
+          for (std::size_t t = 0; t < s_.tiles.size(); ++t) {
+            result.schedules[t].firings = s_.recorded_starts[t];
             result.schedules[t].loop_start = prev.starts[t];
           }
         }
-        // The executor is single-shot, so the live occupancy vector can move
-        // into the result instead of being copied (it is O(channels) and this
-        // runs once per execution on the result path).
-        result.base.max_tokens = std::move(max_tokens_);
+        // The occupancy vector moves into the result instead of being
+        // copied (it is O(channels) and this runs once per execution on the
+        // result path); the next run refills it.
+        result.base.max_tokens = std::move(s_.max_tokens);
         return result;
       }
       it->second.time = now_;
-      it->second.fires = fire_count_;
+      it->second.fires = s_.fire_count;
       if (mode_ == SchedulingMode::kListScheduling) {
-        it->second.starts.resize(tiles_.size());
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-          it->second.starts[t] = recorded_starts_[t].size();
+        it->second.starts.resize(s_.tiles.size());
+        for (std::size_t t = 0; t < s_.tiles.size(); ++t) {
+          it->second.starts[t] = s_.recorded_starts[t].size();
         }
       }
       if (seen.size() > limits_.max_states) {
@@ -484,35 +555,37 @@ ConstrainedResult ConstrainedExecutor::run() {
     }
     budget_.check();
 
-    // ---- Advance to the next completion event: the earliest cached tile
-    // completion or interconnect firing end.
-    std::int64_t next = kNeverCompletes;
-    for (const TileState& ts : tiles_) {
-      if (ts.busy) next = std::min(next, ts.done_at);
+    // ---- Advance to the next completion event: the calendar's earliest
+    // tile completion or interconnect firing end. The soonest interconnect
+    // end counts unless its remaining work is INT64_MAX (never completes);
+    // if it lies past INT64_MAX the advance throws, also while a tile
+    // completes earlier.
+    if (fronts_ > 0 && fronts_past_max_ == fronts_ && fronts_unbounded_ != fronts_) {
+      std::uint64_t soonest = UINT64_MAX;
+      s_.calendar.for_each([&](std::uint64_t time, std::uint32_t id) {
+        if ((id & kTileEvent) == 0) soonest = std::min(soonest, time);
+      });
+      const auto remaining = static_cast<std::int64_t>(soonest - static_cast<std::uint64_t>(now_));
+      (void)checked_add(now_, remaining);  // throws std::overflow_error
     }
-    std::int64_t soonest = kNeverCompletes;
-    for (const std::uint32_t a : unscheduled_) {
-      if (!remaining_[a].empty()) soonest = std::min(soonest, remaining_[a].front());
-    }
-    if (soonest != kNeverCompletes) next = std::min(next, checked_add(now_, soonest));
-    if (next == kNeverCompletes) {
+    fronts_unbounded_ = 0;
+    if (s_.calendar.empty() || s_.calendar.next() >= static_cast<std::uint64_t>(kNeverCompletes)) {
       // Nothing can complete: deadlock (or a zero-slice tile blocks forever).
       result.base.status = SelfTimedResult::Status::kDeadlock;
       result.base.states_stored = seen.size();
-      result.base.max_tokens = std::move(max_tokens_);
+      result.base.max_tokens = std::move(s_.max_tokens);
       return result;
     }
-    for (std::uint32_t t = 0; t < tiles_.size(); ++t) {
-      if (tiles_[t].busy && tiles_[t].done_at == next) tile_done_.insert(t);
-    }
-    const std::int64_t dt = next - now_;
-    for (const std::uint32_t a : unscheduled_) {
-      RemainingMultiset& rem = remaining_[a];
-      if (rem.empty()) continue;
-      rem.advance(dt);
-      if (rem.front() == 0) ended_.insert(a);
-    }
-    now_ = next;
+    const std::uint64_t next = s_.calendar.next();
+    s_.calendar.pop_at(next, [&](std::uint32_t id) {
+      if ((id & kTileEvent) != 0) {
+        s_.tile_done.insert(id & ~kTileEvent);
+      } else {
+        s_.ended.insert(id);
+        --fronts_;
+      }
+    });
+    now_ = static_cast<std::int64_t>(next);
   }
 }
 
@@ -522,7 +595,16 @@ ConstrainedResult execute_constrained(const Graph& g, const RepetitionVector& ga
                                       const ConstrainedSpec& spec, SchedulingMode mode,
                                       const ExecutionLimits& limits,
                                       const TraceObserver& observer) {
-  return ConstrainedExecutor(g, gamma, spec, mode, limits, observer).run();
+  ConstrainedScratch scratch;
+  return execute_constrained(scratch, g, gamma, spec, mode, limits, observer);
+}
+
+ConstrainedResult execute_constrained(ConstrainedScratch& scratch, const Graph& g,
+                                      const RepetitionVector& gamma,
+                                      const ConstrainedSpec& spec, SchedulingMode mode,
+                                      const ExecutionLimits& limits,
+                                      const TraceObserver& observer) {
+  return ConstrainedExecutor(scratch.storage(), g, gamma, spec, mode, limits, observer).run();
 }
 
 }  // namespace sdfmap

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/analysis/state_space.h"
@@ -74,6 +75,35 @@ struct ConstrainedResult {
 /// (slice > wheel, actor bound to unknown tile, schedule naming an actor not
 /// bound to that tile).
 [[nodiscard]] ConstrainedResult execute_constrained(const Graph& g,
+                                                    const RepetitionVector& gamma,
+                                                    const ConstrainedSpec& spec,
+                                                    SchedulingMode mode,
+                                                    const ExecutionLimits& limits = {},
+                                                    const TraceObserver& observer = {});
+
+/// Storage that execute_constrained fills during a run: the compiled port
+/// table, token counts, tile states, worklists, end-time queues, the event
+/// calendar, recorded starts and the recurrence map's buckets. Handing one
+/// scratch to every check of a search (SliceCheck does) lets each run after
+/// the first reuse that storage instead of allocating it again. A run resets
+/// everything it reads, so its result never depends on earlier runs, also
+/// ones that threw. A scratch serves one run at a time: an observer must not
+/// start another run on the scratch of the run that calls it.
+class ConstrainedScratch {
+ public:
+  ConstrainedScratch();
+  ~ConstrainedScratch();
+
+  struct Storage;  // defined in constrained.cpp
+  [[nodiscard]] Storage& storage() { return *storage_; }
+
+ private:
+  std::unique_ptr<Storage> storage_;
+};
+
+/// execute_constrained on `scratch`'s storage; the same result as the
+/// overload above, which runs on a fresh scratch.
+[[nodiscard]] ConstrainedResult execute_constrained(ConstrainedScratch& scratch, const Graph& g,
                                                     const RepetitionVector& gamma,
                                                     const ConstrainedSpec& spec,
                                                     SchedulingMode mode,

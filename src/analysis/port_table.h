@@ -14,7 +14,8 @@ namespace sdfmap {
 /// ranges plus an execution-time array. Built once at the start of an
 /// execution, it lets the fixpoint and time-advance loops read two flat
 /// arrays instead of the Actor/Channel objects, which carry names and are
-/// reached through bounds-checked accessors.
+/// reached through bounds-checked accessors. build() recompiles a table in
+/// place, reusing its storage.
 struct PortTable {
   struct Port {
     std::uint32_t channel;
@@ -25,8 +26,14 @@ struct PortTable {
     std::int64_t rate;
   };
 
-  explicit PortTable(const Graph& g) {
+  PortTable() = default;
+  explicit PortTable(const Graph& g) { build(g); }
+
+  void build(const Graph& g) {
     const std::size_t n = g.num_actors();
+    offsets_.clear();
+    ports_.clear();
+    execution_time.clear();
     offsets_.reserve(2 * n + 1);
     ports_.reserve(2 * g.num_channels());
     execution_time.reserve(n);
@@ -70,6 +77,9 @@ struct PortTable {
 class DirtySet {
  public:
   explicit DirtySet(std::size_t size = 0) : words_((size + 63) / 64, 0) {}
+
+  /// Empties the set and resizes it for indices below `size`.
+  void reset(std::size_t size) { words_.assign((size + 63) / 64, 0); }
 
   void insert(std::uint32_t i) { words_[i >> 6] |= std::uint64_t{1} << (i & 63); }
 

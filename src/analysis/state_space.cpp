@@ -4,8 +4,8 @@
 #include <limits>
 #include <optional>
 
+#include "src/analysis/event_calendar.h"
 #include "src/analysis/port_table.h"
-#include "src/analysis/remaining_multiset.h"
 #include "src/analysis/state_hash.h"
 
 namespace sdfmap {
@@ -13,21 +13,22 @@ namespace sdfmap {
 namespace {
 
 /// Mutable execution state of the plain self-timed semantics: token counts
-/// plus, per actor, the multiset of remaining execution times of its active
-/// firings.
+/// plus, per actor, the end times of its active firings, and the calendar of
+/// every non-empty queue's earliest end that the time advance reads.
 struct ExecState {
   std::vector<std::int64_t> tokens;
-  std::vector<RemainingMultiset> remaining;  // per actor
+  std::vector<EndTimeQueue> active;  // per actor
+  EventCalendar calendar;            // (front end, actor) per queue whose front lies ahead
 
   /// Serializes into a caller-owned key, reusing its word storage: on a map
   /// hit the buffer survives intact, so steady-state sampling allocates
   /// nothing (re-serializing into a fresh StateKey per sample was the
   /// engine's hottest allocation site).
-  void encode_key(StateKey& k) const {
+  void encode_key(std::int64_t now, StateKey& k) const {
     k.words.clear();
-    k.words.reserve(tokens.size() + remaining.size() * 3);
+    k.words.reserve(tokens.size() + active.size() * 3);
     k.words.insert(k.words.end(), tokens.begin(), tokens.end());
-    for (const auto& r : remaining) r.encode(k.words);
+    for (const EndTimeQueue& q : active) q.encode(now, k.words);
   }
 };
 
@@ -79,7 +80,7 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
   for (std::size_t i = 0; i < g.num_channels(); ++i) {
     state.tokens[i] = g.channels()[i].initial_tokens;
   }
-  state.remaining.assign(num_actors, {});
+  state.active.resize(num_actors);
 
   std::vector<std::int64_t> fire_count(num_actors, 0);
   std::vector<std::int64_t> max_tokens = state.tokens;
@@ -119,14 +120,16 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
 
   // Worklists of the fixpoint passes, visited in ascending actor order so a
   // pass ends and starts the same firings in the same order as a rescan of
-  // every actor: `ended` holds actors whose earliest firing reached zero
-  // remaining work, `enabled` actors whose inputs gained tokens or whose
-  // starts the token cap bounded (so an actor without input ports, enabled
-  // up to the cap by no token event, is re-examined on every pass).
+  // every actor: `ended` holds actors whose earliest firing ends now (filed
+  // by the time advance from the calendar, or when a zero-time firing
+  // starts), `enabled` actors whose inputs gained tokens or whose starts the
+  // token cap bounded (so an actor without input ports, enabled up to the
+  // cap by no token event, is re-examined on every pass).
   DirtySet ended(num_actors);
   DirtySet enabled(num_actors);
   for (std::uint32_t a = 0; a < num_actors; ++a) enabled.insert(a);
   const std::int64_t cap = limits.max_tokens_per_channel;
+  constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
   while (true) {
     // --- Fixpoint at the current instant: end finished firings, start all
@@ -141,9 +144,11 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
     while (changed) {
       changed = false;
       ended.drain([&](std::uint32_t a) {
-        const std::int64_t count = state.remaining[a].zero_count();
+        EndTimeQueue& q = state.active[a];
+        const std::int64_t count = q.ended_at(now);
         if (count == 0) return;
-        state.remaining[a].pop_zeros();
+        q.pop_front();
+        if (!q.empty()) state.calendar.push(q.front_end(), a);
         for (const PortTable::Port& p : ports.outputs(a)) {
           std::int64_t& tokens = state.tokens[p.channel];
           tokens += p.rate * count;
@@ -167,8 +172,11 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
         for (const PortTable::Port& p : ports.inputs(a)) {
           state.tokens[p.channel] -= p.rate * started;
         }
-        state.remaining[a].add(ports.execution_time[a], started);
-        if (ports.execution_time[a] == 0) ended.insert(a);
+        const std::int64_t exec = ports.execution_time[a];
+        const std::uint64_t end =
+            static_cast<std::uint64_t>(now) + static_cast<std::uint64_t>(exec);
+        if (state.active[a].push(end, started) && exec > 0) state.calendar.push(end, a);
+        if (exec == 0) ended.insert(a);
         if (started == cap) enabled.insert(a);  // capped: more may be enabled
         if (observer) event.started.insert(event.started.end(), started, ActorId{a});
         changed = true;
@@ -188,7 +196,7 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
     // --- Recurrence detection, sampled at reference-actor completions.
     if (fire_count[ref] != sampled_ref_fires) {
       sampled_ref_fires = fire_count[ref];
-      state.encode_key(scratch);
+      state.encode_key(now, scratch);
       // try_emplace leaves `scratch` untouched when the key already exists
       // (recurrence hit) and moves its buffer into the map otherwise.
       const auto [it, inserted] = seen.try_emplace(std::move(scratch));
@@ -233,25 +241,22 @@ SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& ga
     }
     budget.check();
 
-    // --- Advance time to the next completion.
-    std::int64_t dt = std::numeric_limits<std::int64_t>::max();
-    for (const auto& rem : state.remaining) {
-      if (!rem.empty()) dt = std::min(dt, rem.front());
-    }
-    if (dt == std::numeric_limits<std::int64_t>::max()) {
+    // --- Advance time to the next completion: the calendar's earliest end.
+    // A remaining time of INT64_MAX (Υ = INT64_MAX, started now) counts as
+    // never completing.
+    const std::int64_t dt =
+        state.calendar.empty()
+            ? kNever
+            : static_cast<std::int64_t>(state.calendar.next() - static_cast<std::uint64_t>(now));
+    if (dt == kNever) {
       // Nothing active and (fixpoint done) nothing can start: deadlock.
       result.status = SelfTimedResult::Status::kDeadlock;
       result.states_stored = seen.size();
       result.max_tokens = std::move(max_tokens);
       return result;
     }
-    for (std::uint32_t a = 0; a < num_actors; ++a) {
-      RemainingMultiset& rem = state.remaining[a];
-      if (rem.empty()) continue;
-      rem.advance(dt);
-      if (rem.front() == 0) ended.insert(a);
-    }
-    now += dt;
+    state.calendar.pop_at(state.calendar.next(), [&](std::uint32_t a) { ended.insert(a); });
+    now = checked_add(now, dt);
   }
 }
 

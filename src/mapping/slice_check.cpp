@@ -62,7 +62,8 @@ Rational SliceCheck::throughput(CheckContext& ctx, const std::string& stage,
         ExecutionLimits limits = limits_;
         limits.budget = limits_.budget.for_one_check();
         return cached_execute_constrained(cache_, &ctx.diagnostics.cache, bag_.graph, *gamma_,
-                                          spec_, SchedulingMode::kStaticOrder, limits)
+                                          spec_, SchedulingMode::kStaticOrder, limits, {},
+                                          &scratch_)
             .base.throughput();
       },
       [&] {

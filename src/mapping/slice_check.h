@@ -27,7 +27,8 @@ namespace sdfmap {
 /// fresh build_binding_aware_graph + make_constrained_spec for the same slices
 /// (same actors, names, times, channels and spec), so cache keys and verdicts
 /// are unchanged. A build that throws leaves nothing behind and is retried
-/// on the next prepare().
+/// on the next prepare(). Every check of the search runs the engine on one
+/// ConstrainedScratch that the check owns.
 class SliceCheck {
  public:
   /// All references must outlive the check.
@@ -67,6 +68,7 @@ class SliceCheck {
   BindingAwareGraph bag_;
   std::optional<RepetitionVector> gamma_;
   ConstrainedSpec spec_;
+  ConstrainedScratch scratch_;
 };
 
 }  // namespace sdfmap

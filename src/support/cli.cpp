@@ -11,10 +11,13 @@ CliArgs::CliArgs(int argc, char** argv) {
       const auto eq = arg.find('=');
       if (eq != std::string::npos) {
         flags_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        bare_.erase(arg.substr(2, eq - 2));
       } else if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
         flags_[arg.substr(2)] = argv[++i];
+        bare_.erase(arg.substr(2));
       } else {
         flags_[arg.substr(2)] = "true";
+        bare_.insert(arg.substr(2));
       }
     } else if (starts_with(arg, "-j") && arg != "-j") {
       flags_["jobs"] = arg.substr(2);  // -jN
@@ -42,5 +45,7 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
 }
 
 bool CliArgs::has(const std::string& name) const { return flags_.count(name) > 0; }
+
+bool CliArgs::bare(const std::string& name) const { return bare_.count(name) > 0; }
 
 }  // namespace sdfmap

@@ -7,6 +7,7 @@
 
 #include "src/sdf/builder.h"
 #include "src/sdf/repetition_vector.h"
+#include "tests/analysis/engine_fingerprint_cases.h"
 
 namespace sdfmap {
 namespace {
@@ -310,6 +311,74 @@ TEST(Constrained, CompletionOverflowThrowsInsteadOfAPeriod) {
     EXPECT_THROW(
         (void)execute_constrained(big, *big_gamma, one_tile_spec(big, 10, 10, sched), mode),
         std::overflow_error);
+  }
+}
+
+// One scratch across runs of different sizes and modes, including a run
+// that throws, gives exactly the results of fresh runs.
+TEST(ConstrainedScratch, ReuseMatchesFreshRuns) {
+  const Architecture arch = make_benchmark_architecture(0);
+  const ApplicationGraph app = generate_sequence(BenchmarkSet::kProcessing, 1, 2008)[0];
+  const BindingResult bound = bind_actors(app, arch, TileCostWeights{});
+  ASSERT_TRUE(bound.success);
+  const ListSchedulingResult ls = construct_schedules(app, arch, bound.binding);
+  ASSERT_TRUE(ls.success);
+  std::vector<std::int64_t> half(arch.num_tiles());
+  std::vector<std::int64_t> full(arch.num_tiles());
+  for (std::uint32_t t = 0; t < arch.num_tiles(); ++t) {
+    full[t] = std::max<std::int64_t>(1, arch.tile(TileId{t}).available_wheel());
+    half[t] = std::max<std::int64_t>(1, full[t] / 2);
+  }
+  // Two checks of one slice search: the same graph with other sync times.
+  const BindingAwareGraph large = build_binding_aware_graph(app, arch, bound.binding, half);
+  const RepetitionVector large_gamma = *compute_repetition_vector(large.graph);
+  const ConstrainedSpec large_static = make_constrained_spec(arch, large, ls.schedules);
+  const ConstrainedSpec large_list = make_constrained_spec(arch, large, {});
+  const BindingAwareGraph large_full = build_binding_aware_graph(app, arch, bound.binding, full);
+  const ConstrainedSpec large_full_static = make_constrained_spec(arch, large_full, ls.schedules);
+  const ConstrainedSpec large_full_list = make_constrained_spec(arch, large_full, {});
+
+  GraphBuilder b;
+  b.actor("a", 3).actor("x", 2).actor("u", 4);
+  b.channel("a", "x", 2, 1).channel("x", "u", 1, 1).channel("u", "a", 1, 2, 4);
+  b.self_loop("a").self_loop("x");
+  const Graph& small = b.build();
+  const RepetitionVector small_gamma = *compute_repetition_vector(small);
+  StaticOrderSchedule sched;
+  sched.firings = {ActorId{0}, ActorId{1}, ActorId{1}};
+  ConstrainedSpec small_spec = one_tile_spec(small, 7, 4, sched);
+  small_spec.actor_tile[2] = kUnscheduled;
+  ExecutionLimits state_cap;
+  state_cap.max_states = 1;
+
+  struct Run {
+    const Graph& g;
+    const RepetitionVector& gamma;
+    const ConstrainedSpec& spec;
+    SchedulingMode mode;
+    ExecutionLimits limits;
+  };
+  const std::vector<Run> runs = {
+      {large.graph, large_gamma, large_static, SchedulingMode::kStaticOrder, {}},
+      {large_full.graph, large_gamma, large_full_static, SchedulingMode::kStaticOrder, {}},
+      {small, small_gamma, small_spec, SchedulingMode::kStaticOrder, {}},
+      {large.graph, large_gamma, large_list, SchedulingMode::kListScheduling, {}},
+      {large_full.graph, large_gamma, large_full_list, SchedulingMode::kListScheduling, {}},
+      {large.graph, large_gamma, large_static, SchedulingMode::kStaticOrder, state_cap},
+      {large.graph, large_gamma, large_static, SchedulingMode::kStaticOrder, {}},
+      {small, small_gamma, small_spec, SchedulingMode::kListScheduling, {}},
+      {small, small_gamma, small_spec, SchedulingMode::kListScheduling, {}},
+      {small, small_gamma, small_spec, SchedulingMode::kStaticOrder, {}},
+  };
+  ConstrainedScratch scratch;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Run& r = runs[i];
+    const std::string fresh = engine_fingerprint::fingerprint(
+        [&] { return execute_constrained(r.g, r.gamma, r.spec, r.mode, r.limits); });
+    const std::string reused = engine_fingerprint::fingerprint(
+        [&] { return execute_constrained(scratch, r.g, r.gamma, r.spec, r.mode, r.limits); });
+    EXPECT_EQ(reused, fresh) << "run " << i;
+    EXPECT_EQ(fresh.rfind("error", 0) == 0, i == 5) << "run " << i << ": " << fresh;
   }
 }
 

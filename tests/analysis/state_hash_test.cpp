@@ -1,15 +1,16 @@
-// Quality tests for the word-wise splitmix64 StateKeyHash that replaced the
-// byte-at-a-time FNV-1a loop on the state-space hot path: equal keys must
-// collide, structurally distinct keys (different words, order, or length)
-// must spread, and the low output bits — the ones unordered_map buckets on —
-// must stay well distributed even for the low-entropy keys real engine
-// states produce (small token counts and remaining times).
+// Quality tests for the word-wise StateKeyHash (four lanes folded through
+// splitmix64) on the state-space hot path: equal keys must collide,
+// structurally distinct keys (different words, order, or length) must
+// spread, and the low output bits — the ones unordered_map buckets on — must
+// stay well distributed even for the low-entropy keys real engine states
+// produce (small token counts and remaining times).
 
 #include "src/analysis/state_hash.h"
 
 #include <gtest/gtest.h>
 
 #include <bitset>
+#include <utility>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -97,6 +98,43 @@ TEST(StateKeyHash, SingleBitFlipAvalanches) {
     const double mean = flipped_bits / 64.0;
     EXPECT_GT(mean, 24.0) << "word " << word;
     EXPECT_LT(mean, 40.0) << "word " << word;
+  }
+}
+
+TEST(StateKeyHash, EveryLaneTailCounts) {
+  // Lengths 0-9 end on every lane (words beyond the last group of four go to
+  // lanes 0-2): all-zero keys of each length hash apart, and a change to any
+  // single word of any of them changes the hash.
+  const StateKeyHash h;
+  std::unordered_set<std::size_t> zero_keys;
+  for (std::size_t n = 0; n <= 9; ++n) {
+    const StateKey zeros = key(std::vector<std::int64_t>(n, 0));
+    zero_keys.insert(h(zeros));
+    for (std::size_t i = 0; i < n; ++i) {
+      StateKey changed = zeros;
+      changed.words[i] = 1;
+      EXPECT_NE(h(changed), h(zeros)) << "length " << n << ", word " << i;
+    }
+  }
+  EXPECT_EQ(zero_keys.size(), 10u);
+}
+
+TEST(StateKeyHash, SwapsWithinAndAcrossLanesChangeTheHash) {
+  // Words i and j share a lane when i = j mod 4 (e.g. 0 and 4, or 1 and 5
+  // and 9) and sit in different lanes otherwise; swapping any two distinct
+  // words of keys of length 2-9 must change the hash either way.
+  const StateKeyHash h;
+  for (std::size_t n = 2; n <= 9; ++n) {
+    std::vector<std::int64_t> words(n);
+    for (std::size_t i = 0; i < n; ++i) words[i] = static_cast<std::int64_t>(i + 1);
+    const std::size_t base = h(key(words));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        std::vector<std::int64_t> swapped = words;
+        std::swap(swapped[i], swapped[j]);
+        EXPECT_NE(h(key(swapped)), base) << "length " << n << ", words " << i << "/" << j;
+      }
+    }
   }
 }
 

@@ -34,6 +34,19 @@ TEST(CliArgs, BooleanFlag) {
   EXPECT_FALSE(args.has("quiet"));
 }
 
+TEST(CliArgs, BareFlagsAreTold) {
+  const CliArgs args = make_args({"--dot", "--vcd=run.vcd", "--out", "x", "--gantt"});
+  EXPECT_TRUE(args.bare("dot"));
+  EXPECT_EQ(args.get("dot", ""), "true");
+  EXPECT_FALSE(args.bare("vcd"));
+  EXPECT_FALSE(args.bare("out"));
+  EXPECT_TRUE(args.bare("gantt"));
+  EXPECT_FALSE(args.bare("missing"));
+  // The last occurrence wins, also for bareness.
+  EXPECT_FALSE(make_args({"--dot", "--dot=x"}).bare("dot"));
+  EXPECT_TRUE(make_args({"--dot=x", "--dot"}).bare("dot"));
+}
+
 TEST(CliArgs, Fallbacks) {
   const CliArgs args = make_args({});
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
