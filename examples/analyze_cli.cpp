@@ -142,10 +142,7 @@ int run_lint_subcommand(const CliArgs& args) {
   } else if (format == "json") {
     write_diagnostics_json(std::cout, all.diagnostics);
   } else {
-    std::cout << render_diagnostics_text(all.diagnostics);
-    std::cout << count_severity(all.diagnostics, Severity::kError) << " error(s), "
-              << count_severity(all.diagnostics, Severity::kWarning) << " warning(s), "
-              << count_severity(all.diagnostics, Severity::kInfo) << " info(s)\n";
+    std::cout << format_lint_report(all.diagnostics);
   }
   return cli_exit_code(all);
 }

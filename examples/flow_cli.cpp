@@ -99,6 +99,19 @@ int run(const CliArgs& args) {
       return kCliUsageError;
     }
   }
+  // A bare --gantt draws 60 columns. A width is checked before any analysis
+  // runs, so a bad one is a usage error, not a failure after the report.
+  std::int64_t gantt_width = 60;
+  if (args.has("gantt") && !args.bare("gantt")) {
+    try {
+      const std::int64_t asked = args.get_int("gantt", 0);
+      if (asked > 1) gantt_width = asked;
+    } catch (const std::exception&) {
+      std::cerr << "error: --gantt width must be an integer, got '" << args.get("gantt", "")
+                << "'\n";
+      return kCliUsageError;
+    }
+  }
   if (args.has("dump-examples")) {
     return dump_examples(args.get("dir", "."));
   }
@@ -120,10 +133,7 @@ int run(const CliArgs& args) {
     // the (graph, platform, constraint) tuple — the same rules the strategy's
     // mandatory gate applies.
     const LintResult all = lint_pair(app_path, platform_path, lint_options_from_args(args));
-    std::cout << render_diagnostics_text(all.diagnostics);
-    std::cout << count_severity(all.diagnostics, Severity::kError) << " error(s), "
-              << count_severity(all.diagnostics, Severity::kWarning) << " warning(s), "
-              << count_severity(all.diagnostics, Severity::kInfo) << " info(s)\n";
+    std::cout << format_lint_report(all.diagnostics);
     return cli_exit_code(all);
   }
 
@@ -165,10 +175,8 @@ int run(const CliArgs& args) {
     (void)execute_constrained(bag.graph, *gamma, spec, SchedulingMode::kStaticOrder,
                               ExecutionLimits{}, recorder.observer());
     if (args.has("gantt")) {
-      const std::int64_t asked = args.bare("gantt") ? 0 : args.get_int("gantt", 0);
-      const std::int64_t width = asked > 1 ? asked : 60;
       std::cout << "\nexecution timeline (one column per time unit, '.' = reserved idle):\n"
-                << render_gantt(bag.graph, spec, recorder.firings(), 0, width);
+                << render_gantt(bag.graph, spec, recorder.firings(), 0, gantt_width);
     }
     const std::string vcd_path = args.get("vcd", "");
     if (!vcd_path.empty()) {

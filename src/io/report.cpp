@@ -128,6 +128,13 @@ std::string format_throughput_report(const ThroughputReport& state_space,
   return os.str();
 }
 
+std::string format_lint_report(const std::vector<Diagnostic>& diagnostics) {
+  return render_diagnostics_text(diagnostics) +
+         std::to_string(count_severity(diagnostics, Severity::kError)) + " error(s), " +
+         std::to_string(count_severity(diagnostics, Severity::kWarning)) + " warning(s), " +
+         std::to_string(count_severity(diagnostics, Severity::kInfo)) + " info(s)\n";
+}
+
 int cli_exit_code(const std::exception& e) {
   if (const auto* analysis = dynamic_cast<const AnalysisError*>(&e)) {
     switch (analysis->kind()) {

@@ -34,6 +34,11 @@ struct AllocateRequest;  // src/service/protocol.h
 [[nodiscard]] std::string format_throughput_report(const ThroughputReport& state_space,
                                                    const ThroughputReport& mcr);
 
+/// The text lint report: the rendered diagnostics, then the
+/// "N error(s), N warning(s), N info(s)" footer. Shared by flow_cli --lint,
+/// analyze_cli lint and the sdfmapd lint handler.
+[[nodiscard]] std::string format_lint_report(const std::vector<Diagnostic>& diagnostics);
+
 /// Exit codes shared by the command-line tools, one per error family so
 /// scripts can branch on the cause without parsing stderr.
 enum CliExitCode : int {

@@ -620,12 +620,7 @@ ResultResponse Server::handle_lint(const LintRequest& request) {
   options.cache = cache_.get();
   const LintResult result = lint_text(request.path_hint, request.text, options);
   ResultResponse response;
-  std::ostringstream os;
-  os << render_diagnostics_text(result.diagnostics);
-  os << count_severity(result.diagnostics, Severity::kError) << " error(s), "
-     << count_severity(result.diagnostics, Severity::kWarning) << " warning(s), "
-     << count_severity(result.diagnostics, Severity::kInfo) << " info(s)\n";
-  response.text = os.str();
+  response.text = format_lint_report(result.diagnostics);
   response.exit_code = cli_exit_code(result);
   return response;
 }

@@ -49,25 +49,8 @@ IoError::IoError(IoOp op, std::string path, int error_number, const std::string&
       path_(std::move(path)),
       error_(error_number) {}
 
-IoFaultDecision FileIo::enter(IoOp op, const std::string& path) {
-  const int index = next_index_.fetch_add(1);
-  if (crashed_.load()) {
-    throw IoError(op, path, ECANCELED, "simulated crash (all later I/O fails)");
-  }
-  if (!hook_) return IoFaultDecision::proceed();
-  IoFaultDecision decision = hook_(index, op, path);
-  switch (decision.kind) {
-    case IoFaultDecision::Kind::kProceed:
-    case IoFaultDecision::Kind::kShortWrite:
-      return decision;
-    case IoFaultDecision::Kind::kFail:
-      throw IoError(op, path, decision.error, "injected fault");
-    case IoFaultDecision::Kind::kCrash:
-      crashed_.store(true);
-      throw IoError(op, path, ECANCELED, "injected crash");
-  }
-  return decision;
-}
+FileIo::FileIo(IoFaultHook hook)
+    : seam_(std::move(hook), {ECANCELED, "simulated crash (all later I/O fails)"}) {}
 
 void FileIo::make_dirs(const std::string& dir) {
   if (dir.empty() || dir == "/" || dir == ".") return;
@@ -79,7 +62,7 @@ void FileIo::make_dirs(const std::string& dir) {
     partial = dir.substr(0, end);
     pos = end + 1;
     if (partial.empty()) continue;
-    enter(IoOp::kMkdir, partial);
+    seam_.enter(IoOp::kMkdir, partial);
     if (::mkdir(partial.c_str(), 0775) != 0 && errno != EEXIST) {
       throw IoError(IoOp::kMkdir, partial, errno, "");
     }
@@ -88,7 +71,7 @@ void FileIo::make_dirs(const std::string& dir) {
 }
 
 std::optional<std::string> FileIo::read_file(const std::string& path) {
-  enter(IoOp::kOpen, path);
+  seam_.enter(IoOp::kOpen, path);
   Fd fd{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
   if (fd.fd < 0) {
     if (errno == ENOENT) return std::nullopt;
@@ -97,7 +80,7 @@ std::optional<std::string> FileIo::read_file(const std::string& path) {
   std::string content;
   char buffer[1 << 16];
   for (;;) {
-    enter(IoOp::kRead, path);
+    seam_.enter(IoOp::kRead, path);
     const ssize_t n = ::read(fd.fd, buffer, sizeof buffer);
     if (n < 0) throw IoError(IoOp::kRead, path, errno, "");
     if (n == 0) break;
@@ -107,7 +90,7 @@ std::optional<std::string> FileIo::read_file(const std::string& path) {
 }
 
 std::optional<std::int64_t> FileIo::file_size(const std::string& path) {
-  enter(IoOp::kStat, path);
+  seam_.enter(IoOp::kStat, path);
   struct stat st{};
   if (::stat(path.c_str(), &st) != 0) {
     if (errno == ENOENT) return std::nullopt;
@@ -117,7 +100,7 @@ std::optional<std::int64_t> FileIo::file_size(const std::string& path) {
 }
 
 std::vector<std::string> FileIo::list_files(const std::string& dir) {
-  enter(IoOp::kList, dir);
+  seam_.enter(IoOp::kList, dir);
   DIR* handle = ::opendir(dir.c_str());
   if (!handle) throw IoError(IoOp::kList, dir, errno, "");
   std::vector<std::string> names;
@@ -135,7 +118,7 @@ std::vector<std::string> FileIo::list_files(const std::string& dir) {
 }
 
 void FileIo::remove_file(const std::string& path) {
-  enter(IoOp::kUnlink, path);
+  seam_.enter(IoOp::kUnlink, path);
   if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
     throw IoError(IoOp::kUnlink, path, errno, "");
   }
@@ -144,31 +127,31 @@ void FileIo::remove_file(const std::string& path) {
 void FileIo::atomic_write_file(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   {
-    enter(IoOp::kOpen, tmp);
+    seam_.enter(IoOp::kOpen, tmp);
     Fd fd{::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0664)};
     if (fd.fd < 0) throw IoError(IoOp::kOpen, tmp, errno, "");
     std::size_t written = 0;
     while (written < bytes.size()) {
-      const IoFaultDecision decision = enter(IoOp::kWrite, tmp);
+      const FaultDecision decision = seam_.enter(IoOp::kWrite, tmp);
       std::size_t want = bytes.size() - written;
       const bool injected_short =
-          decision.kind == IoFaultDecision::Kind::kShortWrite && decision.short_bytes < want;
+          decision.kind == FaultDecision::Kind::kShortWrite && decision.short_bytes < want;
       if (injected_short) want = decision.short_bytes;
       const ssize_t n = want == 0 ? 0 : ::write(fd.fd, bytes.data() + written, want);
       if (n < 0) throw IoError(IoOp::kWrite, tmp, errno, "");
       written += static_cast<std::size_t>(n);
       if (injected_short) throw IoError(IoOp::kWrite, tmp, EIO, "injected short write");
     }
-    enter(IoOp::kFsync, tmp);
+    seam_.enter(IoOp::kFsync, tmp);
     if (::fsync(fd.fd) != 0) throw IoError(IoOp::kFsync, tmp, errno, "");
   }
-  enter(IoOp::kRename, path);
+  seam_.enter(IoOp::kRename, path);
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     throw IoError(IoOp::kRename, path, errno, "");
   }
   // Persist the rename itself: fsync the containing directory.
   const std::string dir = parent_dir(path);
-  enter(IoOp::kFsync, dir);
+  seam_.enter(IoOp::kFsync, dir);
   Fd dirfd{::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC)};
   if (dirfd.fd >= 0) ::fsync(dirfd.fd);  // best-effort: some filesystems refuse
 }
@@ -181,10 +164,10 @@ FileIo::Appender::~Appender() {
 }
 
 void FileIo::Appender::append(std::string_view bytes) {
-  const IoFaultDecision decision = io_->enter(IoOp::kWrite, path_);
+  const FaultDecision decision = io_->seam_.enter(IoOp::kWrite, path_);
   std::size_t want = bytes.size();
   const bool injected_short =
-      decision.kind == IoFaultDecision::Kind::kShortWrite && decision.short_bytes < want;
+      decision.kind == FaultDecision::Kind::kShortWrite && decision.short_bytes < want;
   if (injected_short) want = decision.short_bytes;
   std::size_t written = 0;
   while (written < want) {
@@ -196,12 +179,12 @@ void FileIo::Appender::append(std::string_view bytes) {
 }
 
 void FileIo::Appender::sync() {
-  io_->enter(IoOp::kFsync, path_);
+  io_->seam_.enter(IoOp::kFsync, path_);
   if (::fsync(fd_) != 0) throw IoError(IoOp::kFsync, path_, errno, "");
 }
 
 std::unique_ptr<FileIo::Appender> FileIo::open_append(const std::string& path) {
-  enter(IoOp::kOpen, path);
+  seam_.enter(IoOp::kOpen, path);
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0664);
   if (fd < 0) throw IoError(IoOp::kOpen, path, errno, "");
   return std::unique_ptr<Appender>(new Appender(this, fd, path));
@@ -215,7 +198,7 @@ FileIo::Lock::~Lock() {
 }
 
 std::optional<FileIo::Lock> FileIo::try_lock_exclusive(const std::string& path) {
-  enter(IoOp::kLock, path);
+  seam_.enter(IoOp::kLock, path);
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0664);
   if (fd < 0) throw IoError(IoOp::kLock, path, errno, "");
   if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {

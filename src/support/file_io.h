@@ -1,8 +1,6 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -10,6 +8,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "src/support/fault_seam.h"
 
 namespace sdfmap {
 
@@ -63,65 +63,24 @@ class IoError : public std::runtime_error {
   int error_;
 };
 
-/// What an injected fault does to the I/O call it targets.
-struct IoFaultDecision {
-  enum class Kind {
-    kProceed,     ///< no fault: perform the call normally
-    kFail,        ///< do nothing; throw IoError with `error`
-    kShortWrite,  ///< (writes only) persist `short_bytes`, then throw IoError
-    kCrash,       ///< simulate process death: this and every later call fails
-  };
-  Kind kind = Kind::kProceed;
-  int error = 5;  // EIO
-  std::size_t short_bytes = 0;
-
-  static IoFaultDecision proceed() { return {}; }
-  static IoFaultDecision fail(int error_number = 5) {
-    IoFaultDecision d;
-    d.kind = Kind::kFail;
-    d.error = error_number;
-    return d;
-  }
-  static IoFaultDecision short_write(std::size_t bytes) {
-    IoFaultDecision d;
-    d.kind = Kind::kShortWrite;
-    d.short_bytes = bytes;
-    return d;
-  }
-  static IoFaultDecision crash() {
-    IoFaultDecision d;
-    d.kind = Kind::kCrash;
-    return d;
-  }
-};
-
-/// Test hook consulted before every file-system primitive of one FileIo
-/// context, with the (0-based) global call index, the operation, and the
-/// target path — the I/O twin of resilience.h's EngineFaultHook. Fault
-/// injection sweeps run a workload once to count calls, then re-run it
-/// failing index 0, 1, 2, ... to prove every path degrades gracefully.
-/// May be invoked concurrently when the cache is raced; hooks that mutate
-/// captured state must synchronize.
-using IoFaultHook = std::function<IoFaultDecision(int call_index, IoOp op,
-                                                  const std::string& path)>;
+/// Fault hook of one FileIo context (fault_seam.h): consulted before every
+/// primitive with the call index, the operation and the target path.
+using IoFaultHook = FaultSeam<IoOp, IoError, std::string>::Hook;
 
 /// Thin RAII + fault-injection shim over the POSIX file primitives the
 /// persistent cache needs: whole-file reads, append streams, fsync,
 /// atomic-rename replacement, advisory locks, and directory listing. Every
-/// primitive consults the fault hook first and reports failure by throwing
-/// IoError; after a kCrash decision the context latches and all further calls
-/// fail, modeling a process that died mid-sequence.
+/// primitive enters the fault seam first and reports failure by throwing
+/// IoError.
 class FileIo {
  public:
-  FileIo() = default;
-  explicit FileIo(IoFaultHook hook) : hook_(std::move(hook)) {}
+  explicit FileIo(IoFaultHook hook = {});
 
   FileIo(const FileIo&) = delete;
   FileIo& operator=(const FileIo&) = delete;
 
-  [[nodiscard]] bool crashed() const { return crashed_.load(); }
-  /// Number of fault-hook consultations so far (= I/O calls attempted).
-  [[nodiscard]] int calls() const { return next_index_.load(); }
+  [[nodiscard]] bool crashed() const { return seam_.crashed(); }
+  [[nodiscard]] int calls() const { return seam_.calls(); }
 
   /// Creates `dir` (and parents). Existing directories are not an error.
   void make_dirs(const std::string& dir);
@@ -192,13 +151,7 @@ class FileIo {
  private:
   friend class Appender;
 
-  /// Consults the hook; throws for kFail/kCrash (and after a latched crash).
-  /// Returns the decision so writes can honor kShortWrite.
-  IoFaultDecision enter(IoOp op, const std::string& path);
-
-  IoFaultHook hook_;
-  std::atomic<int> next_index_{0};
-  std::atomic<bool> crashed_{false};
+  FaultSeam<IoOp, IoError, std::string> seam_;
 };
 
 }  // namespace sdfmap

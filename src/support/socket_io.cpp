@@ -40,44 +40,29 @@ void OwnedFd::reset() {
   }
 }
 
-SocketFaultDecision SocketIo::enter(SockOp op) {
-  const int index = next_index_.fetch_add(1);
-  if (crashed_.load()) {
-    throw SocketError(op, EIO, "context crashed by injected fault");
-  }
-  SocketFaultDecision decision;
-  if (hook_) decision = hook_(index, op);
-  switch (decision.kind) {
-    case SocketFaultDecision::Kind::kProceed:
-    case SocketFaultDecision::Kind::kShortWrite:
-    case SocketFaultDecision::Kind::kDisconnect:
-      return decision;
-    case SocketFaultDecision::Kind::kFail:
-      throw SocketError(op, decision.error, "injected fault");
-    case SocketFaultDecision::Kind::kCrash:
-      crashed_.store(true);
-      throw SocketError(op, decision.error, "injected crash");
-  }
-  return decision;
-}
+SocketIo::SocketIo(SocketFaultHook hook)
+    : seam_(std::move(hook), {EIO, "context crashed by injected fault"}) {}
 
 OwnedFd SocketIo::listen_unix(const std::string& path, int backlog) {
   if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
     throw SocketError(SockOp::kBind, ENAMETOOLONG, path);
   }
-  (void)enter(SockOp::kSocket);
-  OwnedFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+  (void)seam_.enter(SockOp::kSocket);
+  // Non-blocking, so an accept after a stale readiness report (the client
+  // reset first, or an injected disconnect on the poll) returns EAGAIN instead
+  // of blocking the accept loop. Accepted sockets do not inherit the flag.
+  OwnedFd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0));
   if (!fd.valid()) throw SocketError(SockOp::kSocket, errno, path);
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  (void)enter(SockOp::kBind);
+  (void)seam_.enter(SockOp::kBind);
   ::unlink(path.c_str());  // stale socket from a previous run
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     throw SocketError(SockOp::kBind, errno, path);
   }
-  (void)enter(SockOp::kListen);
+  (void)seam_.enter(SockOp::kListen);
   if (::listen(fd.get(), backlog) != 0) {
     throw SocketError(SockOp::kListen, errno, path);
   }
@@ -86,8 +71,8 @@ OwnedFd SocketIo::listen_unix(const std::string& path, int backlog) {
 
 std::optional<OwnedFd> SocketIo::accept_connection(const OwnedFd& listener, int timeout_ms) {
   if (!poll_readable(listener, timeout_ms)) return std::nullopt;
-  const SocketFaultDecision decision = enter(SockOp::kAccept);
-  if (decision.kind == SocketFaultDecision::Kind::kDisconnect) {
+  const FaultDecision decision = seam_.enter(SockOp::kAccept);
+  if (decision.kind == FaultDecision::Kind::kDisconnect) {
     // Model a connection that was reset between poll and accept: Linux
     // delivers this as a transient error the accept loop must survive.
     throw SocketError(SockOp::kAccept, ECONNABORTED, "injected disconnect");
@@ -104,14 +89,14 @@ OwnedFd SocketIo::connect_unix(const std::string& path) {
   if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
     throw SocketError(SockOp::kConnect, ENAMETOOLONG, path);
   }
-  (void)enter(SockOp::kSocket);
+  (void)seam_.enter(SockOp::kSocket);
   OwnedFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!fd.valid()) throw SocketError(SockOp::kSocket, errno, path);
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  (void)enter(SockOp::kConnect);
+  (void)seam_.enter(SockOp::kConnect);
   if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     throw SocketError(SockOp::kConnect, errno, path);
   }
@@ -121,13 +106,13 @@ OwnedFd SocketIo::connect_unix(const std::string& path) {
 void SocketIo::send_all(const OwnedFd& fd, std::string_view bytes) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
-    const SocketFaultDecision decision = enter(SockOp::kSend);
-    if (decision.kind == SocketFaultDecision::Kind::kDisconnect) {
+    const FaultDecision decision = seam_.enter(SockOp::kSend);
+    if (decision.kind == FaultDecision::Kind::kDisconnect) {
       throw SocketError(SockOp::kSend, ECONNRESET, "injected disconnect");
     }
     std::size_t want = bytes.size() - sent;
     const bool truncated =
-        decision.kind == SocketFaultDecision::Kind::kShortWrite && decision.short_bytes < want;
+        decision.kind == FaultDecision::Kind::kShortWrite && decision.short_bytes < want;
     if (truncated) want = decision.short_bytes;
     // MSG_NOSIGNAL: a peer that vanished mid-send must surface as EPIPE, not
     // kill the server process with SIGPIPE.
@@ -145,8 +130,8 @@ void SocketIo::send_all(const OwnedFd& fd, std::string_view bytes) {
 }
 
 std::string SocketIo::recv_some(const OwnedFd& fd, std::size_t max_bytes) {
-  const SocketFaultDecision decision = enter(SockOp::kRecv);
-  if (decision.kind == SocketFaultDecision::Kind::kDisconnect) return {};
+  const FaultDecision decision = seam_.enter(SockOp::kRecv);
+  if (decision.kind == FaultDecision::Kind::kDisconnect) return {};
   std::string buffer(max_bytes, '\0');
   for (;;) {
     const ssize_t n = ::recv(fd.get(), buffer.data(), buffer.size(), 0);
@@ -160,8 +145,8 @@ std::string SocketIo::recv_some(const OwnedFd& fd, std::size_t max_bytes) {
 }
 
 bool SocketIo::poll_readable(const OwnedFd& fd, int timeout_ms) {
-  const SocketFaultDecision decision = enter(SockOp::kPoll);
-  if (decision.kind == SocketFaultDecision::Kind::kDisconnect) return true;  // EOF is readable
+  const FaultDecision decision = seam_.enter(SockOp::kPoll);
+  if (decision.kind == FaultDecision::Kind::kDisconnect) return true;  // EOF is readable
   pollfd p{};
   p.fd = fd.get();
   p.events = POLLIN;
@@ -176,8 +161,8 @@ bool SocketIo::poll_readable(const OwnedFd& fd, int timeout_ms) {
 }
 
 void SocketIo::shutdown_write(const OwnedFd& fd) {
-  const SocketFaultDecision decision = enter(SockOp::kShutdown);
-  if (decision.kind == SocketFaultDecision::Kind::kDisconnect) return;
+  const FaultDecision decision = seam_.enter(SockOp::kShutdown);
+  if (decision.kind == FaultDecision::Kind::kDisconnect) return;
   (void)::shutdown(fd.get(), SHUT_WR);  // best-effort: peer may already be gone
 }
 

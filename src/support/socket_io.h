@@ -1,14 +1,14 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
+
+#include "src/support/fault_seam.h"
 
 namespace sdfmap {
 
@@ -58,53 +58,10 @@ class SocketError : public std::runtime_error {
   int error_;
 };
 
-/// What an injected fault does to the socket call it targets.
-struct SocketFaultDecision {
-  enum class Kind {
-    kProceed,     ///< no fault: perform the call normally
-    kFail,        ///< do nothing; throw SocketError with `error`
-    kShortWrite,  ///< (sends only) transmit `short_bytes`, then throw
-    kDisconnect,  ///< model the peer vanishing: recv sees EOF, send ECONNRESET
-    kCrash,       ///< this and every later call of the context fails
-  };
-  Kind kind = Kind::kProceed;
-  int error = 5;  // EIO
-  std::size_t short_bytes = 0;
-
-  static SocketFaultDecision proceed() { return {}; }
-  static SocketFaultDecision fail(int error_number = 5) {
-    SocketFaultDecision d;
-    d.kind = Kind::kFail;
-    d.error = error_number;
-    return d;
-  }
-  static SocketFaultDecision short_write(std::size_t bytes) {
-    SocketFaultDecision d;
-    d.kind = Kind::kShortWrite;
-    d.short_bytes = bytes;
-    return d;
-  }
-  static SocketFaultDecision disconnect() {
-    SocketFaultDecision d;
-    d.kind = Kind::kDisconnect;
-    return d;
-  }
-  static SocketFaultDecision crash() {
-    SocketFaultDecision d;
-    d.kind = Kind::kCrash;
-    return d;
-  }
-};
-
-/// Test hook consulted before every socket primitive of one SocketIo context,
-/// with the (0-based) global call index and the operation — the wire-level
-/// twin of file_io.h's IoFaultHook. Fault-injection sweeps run a workload
-/// once to count calls, then re-run it failing index 0, 1, 2, ... to prove
-/// every send/recv/accept path degrades to a typed error or clean close.
-/// Invoked concurrently by server sessions; hooks that mutate captured state
-/// must synchronize.
-using SocketFaultHook =
-    std::function<SocketFaultDecision(int call_index, SockOp op)>;
+/// Fault hook of one SocketIo context (fault_seam.h): consulted before every
+/// socket primitive with the call index and the operation. Invoked
+/// concurrently by server sessions.
+using SocketFaultHook = FaultSeam<SockOp, SocketError>::Hook;
 
 /// Owning file descriptor; closes on destruction (close errors are absorbed:
 /// a fault injected into close must not terminate a drain path).
@@ -135,22 +92,19 @@ class OwnedFd {
 
 /// Thin fault-injection shim over the AF_UNIX socket primitives the service
 /// needs: listen/accept on the server, connect on the client, poll-gated
-/// reads, and full-buffer sends. Every primitive consults the fault hook
-/// first and reports failure by throwing SocketError; after a kCrash decision
-/// the context latches and all further calls fail. One SocketIo is shared by
-/// all sessions of a server (the call index is global, mirroring FileIo), so
-/// a sweep can target "the Nth socket call of the run".
+/// reads, and full-buffer sends. Every primitive enters the fault seam first
+/// and reports failure by throwing SocketError. One SocketIo is shared by all
+/// sessions of a server (the call index is global), so a sweep can target
+/// "the Nth socket call of the run".
 class SocketIo {
  public:
-  SocketIo() = default;
-  explicit SocketIo(SocketFaultHook hook) : hook_(std::move(hook)) {}
+  explicit SocketIo(SocketFaultHook hook = {});
 
   SocketIo(const SocketIo&) = delete;
   SocketIo& operator=(const SocketIo&) = delete;
 
-  [[nodiscard]] bool crashed() const { return crashed_.load(); }
-  /// Number of fault-hook consultations so far (= socket calls attempted).
-  [[nodiscard]] int calls() const { return next_index_.load(); }
+  [[nodiscard]] bool crashed() const { return seam_.crashed(); }
+  [[nodiscard]] int calls() const { return seam_.calls(); }
 
   /// Creates an AF_UNIX listening socket bound to `path` (any stale socket
   /// file is unlinked first).
@@ -179,12 +133,7 @@ class SocketIo {
   void shutdown_write(const OwnedFd& fd);
 
  private:
-  /// Consults the hook; throws for kFail/kCrash (and after a latched crash).
-  SocketFaultDecision enter(SockOp op);
-
-  SocketFaultHook hook_;
-  std::atomic<int> next_index_{0};
-  std::atomic<bool> crashed_{false};
+  FaultSeam<SockOp, SocketError> seam_;
 };
 
 }  // namespace sdfmap

@@ -18,6 +18,7 @@
 #include "src/analysis/cache.h"
 #include "src/support/env.h"
 #include "src/support/file_io.h"
+#include "tests/support/fault_sweep.h"
 
 namespace sdfmap {
 namespace {
@@ -376,9 +377,9 @@ TEST(PersistentCacheTest, ShortWriteTornRecordIsSalvagedOnReopen) {
     options.fault_hook = [&writes_seen](int, IoOp op, const std::string& path) {
       if (op == IoOp::kWrite && path.rfind(".dat") == path.size() - 4 &&
           ++writes_seen == 1) {
-        return IoFaultDecision::short_write(9);
+        return FaultDecision::short_write(9);
       }
-      return IoFaultDecision::proceed();
+      return FaultDecision::proceed();
     };
     PersistentCache cache(options);
     EXPECT_EQ(cache.open_and_recover().size(), 6u);
@@ -396,30 +397,11 @@ TEST(PersistentCacheTest, ShortWriteTornRecordIsSalvagedOnReopen) {
 }
 
 TEST(PersistentCacheTest, EveryFailedIoCallDegradesGracefully) {
-  const std::string golden = make_golden_store(10);
-  // Count the calls of a clean workload run first.
-  int total_calls = 0;
-  {
-    PersistentCacheOptions options;
-    options.dir = golden;
-    options.fault_hook = [&total_calls](int index, IoOp, const std::string&) {
-      total_calls = index + 1;
-      return IoFaultDecision::proceed();
-    };
-    PersistentCache cache(options);
-    (void)cache.open_and_recover();
-    cache.append(key_of(100), value_of(100));
-    cache.flush();
-  }
-  ASSERT_GT(total_calls, 5);
-
-  for (int fail_at = 0; fail_at < total_calls; ++fail_at) {
+  sweep_every_call(5, {FaultDecision::fail(EIO)}, [](const FaultRun& run) {
     const std::string dir = make_golden_store(10);
     PersistentCacheOptions options;
     options.dir = dir;
-    options.fault_hook = [fail_at](int index, IoOp, const std::string&) {
-      return index == fail_at ? IoFaultDecision::fail(EIO) : IoFaultDecision::proceed();
-    };
+    options.fault_hook = run.hook();
     PersistentCache cache(options);
     std::map<int, ConstrainedResult> recovered;
     // The robustness contract: no fault index may surface an exception.
@@ -430,74 +412,56 @@ TEST(PersistentCacheTest, EveryFailedIoCallDegradesGracefully) {
       cache.append(key_of(100), value_of(100));
       cache.flush();
     };
-    ASSERT_NO_THROW(workload()) << "EIO at call " << fail_at;
+    ASSERT_NO_THROW(workload());
     // Whatever was recovered is exact.
     for (const auto& [i, value] : recovered) expect_result_eq(value, value_of(i));
     if (cache.stats().degraded) {
-      EXPECT_GE(cache.stats().io_errors, 1) << "EIO at call " << fail_at;
+      EXPECT_GE(cache.stats().io_errors, 1);
       EXPECT_TRUE(has_event(cache, DiskEventKind::kDegraded));
       EXPECT_TRUE(has_event(cache, DiskEventKind::kIoError));
     }
-  }
+  });
 }
 
 TEST(PersistentCacheTest, CrashAtEveryIoCallNeverLosesCommittedRecords) {
   // Build one golden store with fsync'd records, then crash a workload at
   // every I/O index and check the survivor still recovers all 10 records
   // bit-exactly (plus possibly the workload's own completed appends).
-  int total_calls = 0;
-  {
-    const std::string probe = make_golden_store(10);
-    PersistentCacheOptions options;
-    options.dir = probe;
-    options.fault_hook = [&total_calls](int index, IoOp, const std::string&) {
-      total_calls = index + 1;
-      return IoFaultDecision::proceed();
-    };
-    PersistentCache cache(options);
-    (void)cache.open_and_recover();
-    cache.append(key_of(100), value_of(100));
-    cache.flush();
-  }
-
-  for (int crash_at = 0; crash_at < total_calls; ++crash_at) {
+  sweep_every_call(5, {FaultDecision::crash()}, [](const FaultRun& run) {
     const std::string dir = make_golden_store(10);
     {
       PersistentCacheOptions options;
       options.dir = dir;
-      options.fault_hook = [crash_at](int index, IoOp, const std::string&) {
-        return index == crash_at ? IoFaultDecision::crash() : IoFaultDecision::proceed();
-      };
+      options.fault_hook = run.hook();
       PersistentCache cache(options);
       const auto workload = [&] {
         (void)cache.open_and_recover();
         cache.append(key_of(100), value_of(100));
         cache.flush();
       };
-      ASSERT_NO_THROW(workload()) << "crash at call " << crash_at;
+      ASSERT_NO_THROW(workload());
     }  // destructor of the crashed instance must also not throw
 
     PersistentCacheOptions options;
     options.dir = dir;
     PersistentCache survivor(options);
     const auto recovered = recover_indexed(survivor);
-    EXPECT_FALSE(survivor.stats().degraded) << "crash at call " << crash_at;
+    EXPECT_FALSE(survivor.stats().degraded);
     for (const auto& [i, value] : recovered) {
       expect_result_eq(value, value_of(i));  // nothing recovered is ever wrong
     }
     // The 10 committed records survive any crash point: the only mutations a
     // workload performs before its first append are atomic-rename compactions.
     for (int i = 0; i < 10; ++i) {
-      EXPECT_TRUE(recovered.count(i))
-          << "crash at call " << crash_at << " lost committed record " << i;
+      EXPECT_TRUE(recovered.count(i)) << "lost committed record " << i;
     }
-  }
+  });
 }
 
 TEST(PersistentCacheTest, MemoryTierKeepsWorkingUnderTotalDiskFailure) {
   const std::string dir = make_temp_dir();
   PersistentCacheOptions base;
-  base.fault_hook = [](int, IoOp, const std::string&) { return IoFaultDecision::fail(EIO); };
+  base.fault_hook = [](int, IoOp, const std::string&) { return FaultDecision::fail(EIO); };
   auto cache = make_persistent_throughput_cache(dir + "/store", base);
   ASSERT_NE(cache, nullptr);
   // Disk is gone, but the cache itself still memoizes.

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/analysis/cache.h"
 #include "src/analysis/persistent_cache.h"
@@ -17,6 +18,7 @@
 #include "src/runtime/task_pool.h"
 #include "src/support/file_io.h"
 #include "tests/mapping/cache_suite.h"
+#include "tests/support/fault_sweep.h"
 
 namespace sdfmap {
 namespace {
@@ -83,47 +85,28 @@ TEST_F(PersistentStrategyTest, EveryInjectedFaultKeepsAllocationIdentical) {
   ASSERT_TRUE(baseline.success);
   const std::string expected = fingerprint(baseline);
 
-  // Warm a store once, then count the I/O calls of a clean warm run.
+  // Warm a store once, then fault every I/O call of a warm run.
   const std::string dir = make_temp_dir() + "/store";
   {
     StrategyOptions options;
     options.cache = make_persistent_throughput_cache(dir);
     ASSERT_TRUE(allocate_resources(app_, arch_, options).success);
   }
-  int total_calls = 0;
-  {
+  const std::vector<FaultDecision> kinds = {FaultDecision::fail(EIO), FaultDecision::crash()};
+  sweep_every_call(3, kinds, [&](const FaultRun& run) {
     PersistentCacheOptions base;
-    base.fault_hook = [&total_calls](int index, IoOp, const std::string&) {
-      total_calls = index + 1;
-      return IoFaultDecision::proceed();
-    };
+    base.fault_hook = run.hook();
     StrategyOptions options;
     options.cache = make_persistent_throughput_cache(dir, base);
-    const StrategyResult clean = allocate_resources(app_, arch_, options);
-    EXPECT_EQ(fingerprint(clean), expected);
-  }
-  ASSERT_GT(total_calls, 3);
-
-  for (const bool crash : {false, true}) {
-    for (int fault_at = 0; fault_at < total_calls; ++fault_at) {
-      PersistentCacheOptions base;
-      base.fault_hook = [crash, fault_at](int index, IoOp, const std::string&) {
-        if (index != fault_at) return IoFaultDecision::proceed();
-        return crash ? IoFaultDecision::crash() : IoFaultDecision::fail(EIO);
-      };
-      StrategyOptions options;
-      options.cache = make_persistent_throughput_cache(dir, base);
-      const StrategyResult r = allocate_resources(app_, arch_, options);
-      EXPECT_EQ(fingerprint(r), expected)
-          << (crash ? "crash" : "EIO") << " at I/O call " << fault_at;
-      // The fault is visible as a structured diagnostic, never as a failure.
-      const auto disk = options.cache->persistent();
-      ASSERT_NE(disk, nullptr);
-      EXPECT_TRUE(disk->stats().degraded)
-          << (crash ? "crash" : "EIO") << " at I/O call " << fault_at;
-      EXPECT_GE(disk->stats().io_errors, 1);
-    }
-  }
+    const StrategyResult r = allocate_resources(app_, arch_, options);
+    EXPECT_EQ(fingerprint(r), expected);
+    if (run.clean()) return;
+    // The fault is visible as a structured diagnostic, never as a failure.
+    const auto disk = options.cache->persistent();
+    ASSERT_NE(disk, nullptr);
+    EXPECT_TRUE(disk->stats().degraded);
+    EXPECT_GE(disk->stats().io_errors, 1);
+  });
 
   // The battered store still warm-starts a clean run bit-exactly.
   StrategyOptions options;

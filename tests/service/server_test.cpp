@@ -10,7 +10,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <regex>
@@ -32,6 +31,7 @@
 #include "src/sdf/diagnostics.h"
 #include "src/service/client.h"
 #include "src/service/server.h"
+#include "tests/support/fault_sweep.h"
 
 namespace sdfmap {
 namespace {
@@ -618,68 +618,93 @@ TEST(ServerTest, MaxSessionsBoundTurnsExtraConnectionsAwayTyped) {
   EXPECT_EQ(server.stop(), Server::DrainResult::kClean);
 }
 
-// The acceptance sweep: inject a one-shot socket fault at every call index a
-// clean request lifetime performs, server-side. For every index the server
-// must stay alive, keep an unpoisoned cache, and remain (or become) servable.
+// The acceptance sweep: inject a socket fault of every kind at every call
+// index a clean request lifetime (start, one allocate, stop) performs,
+// server-side. For every index the server must stay alive, keep an unpoisoned
+// cache, and stop.
 TEST(ServerTest, SocketFaultSweepOverEveryServerCallIndex) {
   const std::string expected = scrub_timings(fixture().direct_allocate_text());
-
-  // Count the socket calls of one clean lifetime: start, one allocate, stop.
-  int total_calls = 0;
-  {
-    const std::string path = temp_socket_path("sweep-count");
-    ServerOptions options = quiet_options(path);
-    std::atomic<int> high_water{0};
-    options.socket_fault_hook = [&high_water](int index, SockOp) {
-      int seen = high_water.load();
-      while (index + 1 > seen && !high_water.compare_exchange_weak(seen, index + 1)) {
-      }
-      return SocketFaultDecision::proceed();
-    };
-    Server server(std::move(options));
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-    ServiceClient client(fast_client(path));
-    const ServiceOutcome outcome = client.allocate(allocate_request());
-    ASSERT_TRUE(outcome.ok) << outcome.error.detail;
-    EXPECT_EQ(server.stop(), Server::DrainResult::kClean);
-    total_calls = high_water.load();
-  }
-  ASSERT_GT(total_calls, 5);
-
-  for (int fault_at = 0; fault_at < total_calls; ++fault_at) {
+  const std::vector<FaultDecision> kinds = {FaultDecision::fail(EIO), FaultDecision::disconnect(),
+                                            FaultDecision::crash()};
+  sweep_every_call(5, kinds, [&](const FaultRun& run) {
     const std::string path = temp_socket_path("sweep");
     ServerOptions options = quiet_options(path);
     options.drain_timeout_ms = 10000;
-    options.socket_fault_hook = [fault_at](int index, SockOp) {
-      return index == fault_at ? SocketFaultDecision::fail(EIO)
-                               : SocketFaultDecision::proceed();
-    };
+    options.socket_fault_hook = run.hook();
     Server server(std::move(options));
     std::string error;
     if (!server.start(&error)) {
       // The fault landed in socket/bind/listen: refusing to start with a
       // typed error is the correct reaction.
-      EXPECT_FALSE(error.empty()) << "fault at " << fault_at;
-      continue;
+      EXPECT_FALSE(run.clean()) << error;
+      EXPECT_FALSE(error.empty());
+      return;
     }
     ClientOptions client_options = fast_client(path);
     client_options.attempts = 3;
     client_options.response_timeout_ms = 10000;
+    if (run.decision().kind == FaultDecision::Kind::kCrash) {
+      // A crashed server never answers again: one short wait is enough.
+      client_options.attempts = 1;
+      client_options.response_timeout_ms = 150;
+    }
     ServiceClient client(std::move(client_options));
     const ServiceOutcome outcome = client.allocate(allocate_request());
+    if (run.clean()) {
+      EXPECT_TRUE(outcome.ok) << outcome.error.detail;
+    }
     if (outcome.ok) {
       // Retries rode over the fault: the result must still be byte-exact.
-      EXPECT_EQ(scrub_timings(outcome.result.text), expected) << "fault at " << fault_at;
+      EXPECT_EQ(scrub_timings(outcome.result.text), expected);
     }
     // Crash-freedom and no-poisoning: the server's shared cache still yields
     // the baseline allocation when used directly.
     if (auto cache = server.cache()) {
-      EXPECT_EQ(scrub_timings(fixture().direct_allocate_text(cache)), expected)
-          << "fault at " << fault_at;
+      EXPECT_EQ(scrub_timings(fixture().direct_allocate_text(cache)), expected);
     }
-    (void)server.stop();  // must terminate either way, clean or forced
-  }
+    const Server::DrainResult drained = server.stop();  // must terminate either way
+    if (run.clean()) {
+      EXPECT_EQ(drained, Server::DrainResult::kClean);
+    }
+  });
+}
+
+// The client half: a fault of every kind at every socket call one allocate
+// makes on the client, against a clean server. A one-shot fault is retried
+// over (byte-exact result) or ends as a typed transport failure; a crashed
+// client context can only end as a transport failure.
+TEST(ServerTest, SocketFaultSweepOverEveryClientCallIndex) {
+  const std::string path = temp_socket_path("client-sweep");
+  Server server(quiet_options(path));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const std::string expected = scrub_timings(fixture().direct_allocate_text());
+
+  const std::vector<FaultDecision> kinds = {FaultDecision::fail(EIO), FaultDecision::disconnect(),
+                                            FaultDecision::crash()};
+  sweep_every_call(5, kinds, [&](const FaultRun& run) {
+    ClientOptions options = fast_client(path);
+    options.response_timeout_ms = 10000;
+    options.sleep_fn = [](std::int64_t) {};
+    options.socket_fault_hook = run.hook();
+    ServiceClient client(std::move(options));
+    ServiceOutcome outcome;
+    ASSERT_NO_THROW(outcome = client.allocate(allocate_request()));
+    if (run.clean()) {
+      EXPECT_TRUE(outcome.ok) << outcome.error.detail;
+    }
+    if (outcome.ok) {
+      EXPECT_EQ(outcome.result.exit_code, kCliSuccess);
+      EXPECT_EQ(scrub_timings(outcome.result.text), expected);
+    } else {
+      EXPECT_TRUE(outcome.transport_failed) << outcome.error.detail;
+      EXPECT_EQ(outcome.exit_code(), 75);
+    }
+    if (run.fired() && run.decision().kind == FaultDecision::Kind::kCrash) {
+      EXPECT_TRUE(outcome.transport_failed);
+    }
+  });
+  EXPECT_EQ(server.stop(), Server::DrainResult::kClean);
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ TEST(FileIoTest, ExclusiveLockExcludesSecondHolder) {
 TEST(FileIoTest, InjectedFailThrowsIoErrorWithContext) {
   const std::string dir = make_temp_dir();
   FileIo io([](int, IoOp op, const std::string&) {
-    return op == IoOp::kWrite ? IoFaultDecision::fail(EIO) : IoFaultDecision::proceed();
+    return op == IoOp::kWrite ? FaultDecision::fail(EIO) : FaultDecision::proceed();
   });
   auto appender = io.open_append(dir + "/x.dat");
   try {
@@ -97,7 +97,7 @@ TEST(FileIoTest, InjectedFailThrowsIoErrorWithContext) {
 TEST(FileIoTest, InjectedShortWritePersistsPrefixThenFails) {
   const std::string dir = make_temp_dir();
   FileIo io([](int, IoOp op, const std::string&) {
-    return op == IoOp::kWrite ? IoFaultDecision::short_write(3) : IoFaultDecision::proceed();
+    return op == IoOp::kWrite ? FaultDecision::short_write(3) : FaultDecision::proceed();
   });
   auto appender = io.open_append(dir + "/x.dat");
   EXPECT_THROW(appender->append("abcdef"), IoError);
@@ -108,7 +108,7 @@ TEST(FileIoTest, InjectedShortWritePersistsPrefixThenFails) {
 TEST(FileIoTest, CrashLatchesEveryLaterCall) {
   const std::string dir = make_temp_dir();
   FileIo io([](int index, IoOp, const std::string&) {
-    return index == 2 ? IoFaultDecision::crash() : IoFaultDecision::proceed();
+    return index == 2 ? FaultDecision::crash() : FaultDecision::proceed();
   });
   auto appender = io.open_append(dir + "/x.dat");  // call 0
   appender->append("one");                         // call 1
@@ -128,7 +128,7 @@ TEST(FileIoTest, FaultHookSeesIndicesOpsAndPaths) {
   FileIo io([&](int index, IoOp op, const std::string& path) {
     EXPECT_FALSE(path.empty());
     seen.emplace_back(index, op);
-    return IoFaultDecision::proceed();
+    return FaultDecision::proceed();
   });
   io.atomic_write_file(dir + "/f", "payload");
   ASSERT_GE(seen.size(), 4u);

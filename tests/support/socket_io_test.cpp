@@ -125,7 +125,7 @@ TEST(SocketIoFaultTest, HookSeesGloballyIndexedCalls) {
   std::vector<std::pair<int, SockOp>> seen;
   SocketIo io([&seen](int index, SockOp op) {
     seen.emplace_back(index, op);
-    return SocketFaultDecision::proceed();
+    return FaultDecision::proceed();
   });
   Pair pair(io, temp_socket_path("indexing"));
   io.send_all(pair.client, "x");
@@ -147,9 +147,9 @@ TEST(SocketIoFaultTest, FailDecisionThrowsWithInjectedErrno) {
   SocketIo io([&armed](int, SockOp op) {
     if (op == SockOp::kSend && armed) {
       armed = false;
-      return SocketFaultDecision::fail(EPIPE);
+      return FaultDecision::fail(EPIPE);
     }
-    return SocketFaultDecision::proceed();
+    return FaultDecision::proceed();
   });
   Pair pair(io, temp_socket_path("fail"));
   try {
@@ -170,9 +170,9 @@ TEST(SocketIoFaultTest, ShortWriteTransmitsPrefixThenThrows) {
   SocketIo io([&armed](int, SockOp op) {
     if (op == SockOp::kSend && armed) {
       armed = false;
-      return SocketFaultDecision::short_write(3);
+      return FaultDecision::short_write(3);
     }
-    return SocketFaultDecision::proceed();
+    return FaultDecision::proceed();
   });
   Pair pair(io, temp_socket_path("short"));
   EXPECT_THROW(io.send_all(pair.client, "abcdef"), SocketError);
@@ -183,8 +183,8 @@ TEST(SocketIoFaultTest, ShortWriteTransmitsPrefixThenThrows) {
 
 TEST(SocketIoFaultTest, DisconnectModelsPeerVanishing) {
   SocketIo io([](int, SockOp op) {
-    return op == SockOp::kRecv ? SocketFaultDecision::disconnect()
-                               : SocketFaultDecision::proceed();
+    return op == SockOp::kRecv ? FaultDecision::disconnect()
+                               : FaultDecision::proceed();
   });
   Pair pair(io, temp_socket_path("disconnect"));
   io.send_all(pair.client, "never seen");
@@ -195,8 +195,8 @@ TEST(SocketIoFaultTest, DisconnectModelsPeerVanishing) {
 TEST(SocketIoFaultTest, CrashLatchesEveryLaterCall) {
   int fail_from = -1;
   SocketIo io([&fail_from](int index, SockOp) {
-    if (fail_from >= 0 && index >= fail_from) return SocketFaultDecision::crash();
-    return SocketFaultDecision::proceed();
+    if (fail_from >= 0 && index >= fail_from) return FaultDecision::crash();
+    return FaultDecision::proceed();
   });
   Pair pair(io, temp_socket_path("crash"));
   EXPECT_FALSE(io.crashed());
